@@ -136,7 +136,7 @@ def _entity_demeaner(entity):
     codes, inverse = np.unique(entity, return_inverse=True)
     counts = np.bincount(inverse)
     if np.any(counts < 2):
-        bad = codes[np.argmin(counts)]
+        bad = codes[np.argmin(counts)].item()
         raise SingletonEntity(f"entity {bad!r} has fewer than 2 observations")
 
     def demean(v):

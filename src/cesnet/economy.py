@@ -109,6 +109,25 @@ def check_shock(z, n: int) -> np.ndarray:
     return z
 
 
+def check_shock_matrix(Z, n: int) -> np.ndarray:
+    """Validate a (K, n) matrix of productivity rows, each strictly positive.
+
+    A bad row raises what ``check_shock`` raises for the first such row.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise MalformedTable(f"shock matrix has shape {Z.shape}, expected (K, {n})")
+    valid = valid_shock_rows(Z)
+    if not valid.all():
+        check_shock(Z[np.argmin(valid)], n)
+    return Z
+
+
+def valid_shock_rows(Z) -> np.ndarray:
+    """Mask of the rows of a shock matrix that are finite and strictly positive."""
+    return np.all(np.isfinite(Z) & (Z > 0), axis=1)
+
+
 def check_prices(pi, n: int, pi0: float = 1.0) -> tuple[np.ndarray, float]:
     """Validate a price vector and the numeraire; both strictly positive."""
     pi = np.asarray(pi, dtype=float)
@@ -116,10 +135,15 @@ def check_prices(pi, n: int, pi0: float = 1.0) -> tuple[np.ndarray, float]:
         raise MalformedTable(f"price vector has shape {pi.shape}, expected ({n},)")
     if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
         raise NonPositivePrice(f"prices must be strictly positive, got {pi}")
+    return pi, check_numeraire(pi0)
+
+
+def check_numeraire(pi0) -> float:
+    """Validate the numeraire price: finite and strictly positive."""
     pi0 = float(pi0)
     if not np.isfinite(pi0) or pi0 <= 0:
         raise NonPositivePrice(f"numeraire must be strictly positive, got {pi0}")
-    return pi, pi0
+    return pi0
 
 
 def load_economy(io_table_path, elasticities_path) -> Economy:

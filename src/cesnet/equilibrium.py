@@ -8,6 +8,10 @@ the benchmark converges globally; nonexistence shows up as divergence.
 Closed forms exist for uniform elasticity (any gamma != 0), the Leontief
 economy (gamma = 1, a single linear solve) and the Cobb-Douglas economy
 (gamma = 0, a linear solve in logs).
+
+The recursive solver and the Leontief and Cobb-Douglas closed forms work on
+a (K, n) matrix of shock rows (the ``*_batch`` functions); the single-shock
+functions are their K = 1 case and return bit for bit the same row.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, check_prices, check_shock
+from .economy import (
+    Economy,
+    check_numeraire,
+    check_prices,
+    check_shock,
+    check_shock_matrix,
+)
 from .errors import NoPositiveSolution, SingularSystem
 
 #: Below this |gamma| the CES power form is replaced by its log-limit.
@@ -24,6 +34,15 @@ GAMMA_SWITCH = 1e-8
 
 #: Any iterate above this level is treated as divergence to infinity.
 OVERFLOW_GUARD = 1e12
+
+#: Sweeps per convergence check.  For a few small rows the check costs more
+#: than a sweep, so a round runs as many sweeps as keep its power
+#: evaluations, m * rows * (n + 1) * n, within ROUND_FLOATS, and at most
+#: MAX_ROUND_SWEEPS; that also bounds the sweeps wasted past a row's
+#: retirement.  A row's iterates, and so its result, do not depend on the
+#: round length.
+ROUND_FLOATS = 2**14
+MAX_ROUND_SWEEPS = 16
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -48,6 +67,30 @@ class EquilibriumResult:
         return self.status == CONVERGED
 
 
+@dataclass(frozen=True)
+class EquilibriumBatch:
+    """Outcome of the recursive solver for each row of a (K, n) shock matrix.
+
+    Row k holds what ``solve_fixed_point`` returns for shock row k: prices
+    (K, n), iteration counts, final residuals and statuses, each of length K.
+    """
+
+    pi: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.status == CONVERGED
+
+    def row(self, k: int) -> EquilibriumResult:
+        return EquilibriumResult(
+            self.pi[k], int(self.iterations[k]), float(self.residual[k]),
+            str(self.status[k]),
+        )
+
+
 def unit_costs(economy: Economy, pi, pi0: float = 1.0) -> np.ndarray:
     """CES unit costs of all sectors at prices (pi0, pi), without the 1/z.
 
@@ -56,21 +99,42 @@ def unit_costs(economy: Economy, pi, pi0: float = 1.0) -> np.ndarray:
     """
     pi, pi0 = check_prices(pi, economy.n, pi0)
     paug = np.concatenate(([pi0], pi))
-    return _unit_costs_raw(economy.augmented_coefficients(), economy.gamma, paug)
+    return _cost_kernel(economy)(paug[None, :])[0]
 
 
-def _unit_costs_raw(aug, g, paug):
-    """Unit costs without input validation; hot path of the solver."""
-    c = np.empty(g.size)
+def _cost_kernel(economy: Economy):
+    """The unit-cost map on rows of augmented prices, (K, n + 1) -> (K, n).
+
+    No input validation; hot path of the solver.  Each row is computed with
+    the same operations whatever K is, so a row's costs do not depend on the
+    rows batched with it.
+    """
+    aug = economy.augmented_coefficients()
+    g = economy.gamma
     small = np.abs(g) < GAMMA_SWITCH
-    if small.any():
-        c[small] = np.exp(np.log(paug) @ aug[:, small])
+    if not small.any():
+        inv = 1.0 / g
+
+        def power_costs(paug):
+            return np.einsum("ij,kij->kj", aug, paug[:, :, None] ** g) ** inv
+
+        return power_costs
     rest = ~small
-    if rest.any():
-        gr = g[rest]
-        powers = paug[:, None] ** gr[None, :]
-        c[rest] = np.einsum("ij,ij->j", aug[:, rest], powers) ** (1.0 / gr)
-    return c
+    aug_small, aug_rest = aug[:, small], aug[:, rest]
+    g_rest = g[rest]
+    inv_rest = 1.0 / g_rest
+
+    def costs(paug):
+        c = np.empty((paug.shape[0], g.size))
+        # Row-by-row vector-matrix products, as for a single price vector.
+        log_p = np.log(paug)[:, None, :]
+        c[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
+        if rest.any():
+            powers = paug[:, :, None] ** g_rest
+            c[:, rest] = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
+        return c
+
+    return costs
 
 
 def unit_cost(economy: Economy, j: int, pi, pi0: float = 1.0) -> float:
@@ -102,28 +166,86 @@ def solve_fixed_point(
     equilibrium exists (an iterate left the positive orthant or exceeded the
     overflow guard).
     """
+    z = check_shock(z, economy.n)
+    pi = np.ones(economy.n) if pi_init is None else pi_init
+    pi, pi0 = check_prices(pi, economy.n, pi0)
+    batch = solve_fixed_point_batch(
+        economy, z[None, :], pi0=pi0, tol=tol, max_iter=max_iter,
+        pi_init=pi[None, :],
+    )
+    return batch.row(0)
+
+
+def solve_fixed_point_batch(
+    economy: Economy,
+    Z,
+    pi0: float = 1.0,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+    pi_init=None,
+) -> EquilibriumBatch:
+    """Iterate the price recursion for every row of a (K, n) shock matrix.
+
+    All active rows are swept together; a row retires at the first sweep at
+    which it converges or diverges, keeping that iterate, iteration count and
+    residual.  Sweeps run in rounds between two such checks (see
+    ROUND_FLOATS), so that a long tail of a few slow rows costs little more
+    than their sweeps.
+    Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
+    for bit.  ``pi_init`` is an optional (K, n) matrix of starting prices.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    z = check_shock(z, economy.n)
-    pi = np.ones(economy.n) if pi_init is None else np.asarray(pi_init, float).copy()
-    pi, pi0 = check_prices(pi, economy.n, pi0)
-    aug = economy.augmented_coefficients()
-    g = economy.gamma
-    paug = np.concatenate(([pi0], pi))
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        pi_new = _unit_costs_raw(aug, g, paug) / z
-        if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0) or np.any(
-            pi_new > OVERFLOW_GUARD
-        ):
-            return EquilibriumResult(pi_new, it, np.inf, DIVERGED)
-        residual = float(np.max(np.abs(pi_new - paug[1:])))
-        paug[1:] = pi_new
-        if residual <= tol:
-            return EquilibriumResult(pi_new, it, residual, CONVERGED)
-    return EquilibriumResult(paug[1:].copy(), max_iter, residual, MAX_ITERATIONS)
+    Z = check_shock_matrix(Z, economy.n)
+    pi0 = check_numeraire(pi0)
+    K, n = Z.shape
+    costs = _cost_kernel(economy)
+    paug = np.empty((K, n + 1))
+    paug[:, 0] = pi0
+    paug[:, 1:] = 1.0 if pi_init is None else pi_init
+    pi = np.empty((K, n))
+    iterations = np.full(K, max_iter)
+    residual = np.empty(K)
+    outcome = np.full(K, 2)  # index into (CONVERGED, DIVERGED, MAX_ITERATIONS)
+    rows = np.arange(K)
+    res = np.full(K, np.inf)
+    it = 0
+    while rows.size and it < max_iter:
+        m = ROUND_FLOATS // (rows.size * (n + 1) * n)
+        m = max(1, min(m, MAX_ROUND_SWEEPS, max_iter - it))
+        seq = np.empty((m + 1, rows.size, n + 1))
+        seq[0] = paug
+        seq[1:, :, 0] = pi0
+        for s in range(m):
+            np.divide(costs(seq[s]), Z, out=seq[s + 1, :, 1:])
+        # The numeraire column adds zeros to the steps, so each is the
+        # max-norm change of the row's prices.
+        step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)
+        paug, res = seq[m], step[-1]
+        it += m
+        lo, hi = seq[1:].min(), seq[1:].max()
+        if lo > 0 and hi <= OVERFLOW_GUARD and step.min() > tol:
+            continue  # no row is done: no NaN, no overflow, no convergence
+        new = seq[1:, :, 1:]
+        diverged = ~((new.min(axis=2) > 0) & (new.max(axis=2) <= OVERFLOW_GUARD))
+        done = diverged | (step <= tol)
+        hit = done.any(axis=0)
+        # The first sweep of the round at which each such row is done.
+        at, r = done.argmax(axis=0)[hit], np.flatnonzero(hit)
+        finished = rows[r]
+        pi[finished] = new[at, r]
+        iterations[finished] = it - m + at + 1
+        residual[finished] = step[at, r]
+        outcome[finished] = diverged[at, r]
+        keep = ~hit
+        rows, Z, paug, res = rows[keep], Z[keep], paug[keep], res[keep]
+    pi[rows] = paug[:, 1:]
+    residual[rows] = res
+    residual[outcome == 1] = np.inf
+    status = np.array([CONVERGED, DIVERGED, MAX_ITERATIONS], dtype=object)[outcome]
+    return EquilibriumBatch(pi, iterations, residual, status)
 
 
 def solve_uniform_ces(economy: Economy, z, gamma: float, pi0: float = 1.0) -> np.ndarray:
@@ -158,16 +280,54 @@ def solve_leontief(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
     Hawkins-Simon condition fails for ``diag(z) - A``.
     """
     z = check_shock(z, economy.n)
+    pi, viable, singular = solve_leontief_batch(economy, z[None, :], pi0)
+    if singular[0]:
+        raise SingularSystem("Singular matrix")
+    if not viable[0]:
+        raise NoPositiveSolution("Leontief prices left the positive orthant")
+    return pi[0]
+
+
+def solve_leontief_batch(economy: Economy, Z, pi0: float = 1.0):
+    """Leontief prices for every row of a (K, n) shock matrix.
+
+    One stacked linear solve.  Returns ``(pi, viable, singular)``: the (K, n)
+    prices and two masks, the rows with strictly positive prices and the rows
+    whose ``diag(z) - A`` is singular.  Prices of rows that are not viable
+    are meaningless.  Row k equals ``solve_leontief(economy, Z[k])`` bit for
+    bit.
+    """
+    Z = check_shock_matrix(Z, economy.n)
     if pi0 <= 0:
         raise NoPositiveSolution("numeraire must be positive")
-    M = np.diag(z) - economy.A
+    K, n = Z.shape
+    M = np.multiply(Z[:, :, None], np.eye(n))
+    M -= economy.A
+    rhs = np.broadcast_to(pi0 * economy.a0, (K, n))
+    pi, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
+    viable = solved & np.all(np.isfinite(pi) & (pi > 0), axis=1)
+    return pi, viable, ~solved
+
+
+def _solve_rows(M, rhs):
+    """Solve ``M[k] x_k = rhs[k]`` for every k; return x and the solved mask.
+
+    One stacked LAPACK call; if it meets a singular matrix, the rows are
+    solved one by one so that only the singular ones fail.
+    """
     try:
-        pi = np.linalg.solve(M.T, pi0 * economy.a0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
-        raise NoPositiveSolution("Leontief prices left the positive orthant")
-    return pi
+        return np.linalg.solve(M, rhs[..., None])[..., 0], np.ones(len(rhs), bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros(rhs.shape)
+    solved = np.zeros(len(rhs), bool)
+    for k in range(len(rhs)):
+        try:
+            x[k] = np.linalg.solve(M[k : k + 1], rhs[k : k + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            continue
+        solved[k] = True
+    return x, solved
 
 
 def solve_cobb_douglas(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
@@ -177,11 +337,22 @@ def solve_cobb_douglas(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
     exponentiates to a positive price vector.
     """
     z = check_shock(z, economy.n)
+    return solve_cobb_douglas_batch(economy, z[None, :], pi0)[0]
+
+
+def solve_cobb_douglas_batch(economy: Economy, Z, pi0: float = 1.0) -> np.ndarray:
+    """Cobb-Douglas log-prices for every row of a (K, n) shock matrix.
+
+    A stacked solve against the broadcast ``(I - A)^T``; row k equals
+    ``solve_cobb_douglas(economy, Z[k])`` bit for bit.  Raises SingularSystem
+    if ``I - A`` is not invertible.
+    """
+    Z = check_shock_matrix(Z, economy.n)
     if pi0 <= 0:
         raise NoPositiveSolution("numeraire must be positive")
     M = np.eye(economy.n) - economy.A
-    rhs = economy.a0 * np.log(pi0) - np.log(z)
+    rhs = economy.a0 * np.log(pi0) - np.log(Z)
     try:
-        return np.linalg.solve(M.T, rhs)
+        return np.linalg.solve(M.T, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, check_prices, check_shock
+from .economy import Economy, check_shock, check_shock_matrix, valid_shock_rows
 from .equilibrium import (
-    solve_cobb_douglas,
-    solve_fixed_point,
-    solve_leontief,
+    solve_cobb_douglas_batch,
+    solve_fixed_point_batch,
+    solve_leontief_batch,
 )
 from .errors import NoPositiveSolution, NonPositivePrice, SingularSystem
 
@@ -45,6 +45,8 @@ class HouseholdPrefs:
         mu = np.ascontiguousarray(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1 or mu.size == 0:
             raise ValueError("mu must be a nonempty vector")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("expenditure shares must be finite")
         if np.any(mu < 0):
             raise ValueError("expenditure shares must be nonnegative")
         if abs(mu.sum() - 1.0) > 1e-9:
@@ -81,10 +83,21 @@ def log_price_index(pi, prefs: HouseholdPrefs) -> float:
         )
     if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
         raise NonPositivePrice("prices must be strictly positive")
+    return float(_log_price_index_rows(pi[None, :], prefs)[0])
+
+
+def _log_price_index_rows(P, prefs: HouseholdPrefs) -> np.ndarray:
+    """ln Pi of each row of a positive (K, n) price matrix.
+
+    Row-wise dot products through ``matmul`` on (1, n) @ (n, 1) blocks: a
+    row's value is then the same for any K, which ``P @ mu`` does not
+    guarantee.
+    """
     k = prefs.kappa
+    mu = prefs.mu[:, None]
     if abs(k) < KAPPA_SWITCH:
-        return float(prefs.mu @ np.log(pi))
-    return float(np.log(prefs.mu @ pi**k) / k)
+        return np.matmul(np.log(P)[:, None, :], mu)[:, 0, 0]
+    return np.log(np.matmul((P**k)[:, None, :], mu)[:, 0, 0]) / k
 
 
 def price_index(pi, prefs: HouseholdPrefs) -> float:
@@ -119,22 +132,62 @@ def real_gdp_growth(
     solution both yield ``Unviable``.
     """
     z = check_shock(z, economy.n)
+    ln_h, viable = real_gdp_growth_batch(
+        economy, prefs, z[None, :], method, pi0=pi0, tol=tol, max_iter=max_iter
+    )
+    return float(ln_h[0]) if viable[0] else Unviable(method=method, z=z)
+
+
+def real_gdp_growth_batch(
+    economy: Economy,
+    prefs: HouseholdPrefs,
+    Z,
+    method: str = GENERAL_CES,
+    pi0: float = 1.0,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log real GDP growth for every row of a (K, n) shock matrix.
+
+    Returns ``(ln_h, viable)``: the growth of each row and the mask of viable
+    rows; ``ln_h`` is 0 where a row is not viable.  Row k equals
+    ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit, and
+    an invalid input raises the error that a loop over the rows would raise
+    first.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim == 2 and not valid_shock_rows(Z).all():
+        # Rows before the first bad one may raise their own errors first.
+        real_gdp_growth_batch(
+            economy, prefs, Z[: np.argmin(valid_shock_rows(Z))], method,
+            pi0=pi0, tol=tol, max_iter=max_iter,
+        )
+    Z = check_shock_matrix(Z, economy.n)
     if method == GENERAL_CES:
-        result = solve_fixed_point(economy, z, pi0=pi0, tol=tol, max_iter=max_iter)
-        if not result.converged:
-            return Unviable(method=method, z=z)
-        log_pi = np.log(result.pi)
+        result = solve_fixed_point_batch(
+            economy, Z, pi0=pi0, tol=tol, max_iter=max_iter
+        )
+        viable = result.converged
+        log_pi = np.log(result.pi[viable])
     elif method == LEONTIEF:
         try:
-            log_pi = np.log(solve_leontief(economy, z, pi0=pi0))
-        except (NoPositiveSolution, SingularSystem):
-            return Unviable(method=method, z=z)
-    elif method == COBB_DOUGLAS:
-        log_pi = solve_cobb_douglas(economy, z, pi0=pi0)
+            pi, viable, _ = solve_leontief_batch(economy, Z, pi0=pi0)
+        except NoPositiveSolution:
+            pi, viable = Z, np.zeros(len(Z), bool)
+        log_pi = np.log(pi[viable])
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    pi = np.exp(log_pi)
-    return log_price_index(1.0 / z, prefs) - log_price_index(pi, prefs)
+        log_pi = solve_cobb_douglas_batch(economy, Z, pi0=pi0)
+        viable = np.ones(len(Z), bool)
+    pi, inv_z = np.exp(log_pi), 1.0 / Z[viable]
+    if not np.all(np.isfinite(pi) & (pi > 0) & np.isfinite(inv_z) & (inv_z > 0)):
+        raise NonPositivePrice("prices must be strictly positive")
+    ln_h = np.zeros(len(Z))
+    ln_h[viable] = _log_price_index_rows(inv_z, prefs) - _log_price_index_rows(
+        pi, prefs
+    )
+    return ln_h, viable
 
 
 def domar_weights(economy: Economy, m) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Shock sampling, fluctuation distributions, QQ points and the HP filter.
 
-Samples are drawn as iid lognormal sector shocks, pushed through a Domar
-aggregator, and summarized over the viable draws.  Every sample's random
-stream is derived from (seed, sample index), so runs are reproducible
-regardless of evaluation order or worker count.
+Samples are drawn as iid lognormal sector shocks, stacked into a shock
+matrix, pushed through a Domar aggregator, and summarized over the viable
+draws.  Every sample's random stream is derived from (seed, sample index),
+so runs are reproducible regardless of how the draws are split into blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -24,9 +23,13 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .household import GENERAL_CES, HouseholdPrefs, Unviable, real_gdp_growth
+from .household import GENERAL_CES, HouseholdPrefs, real_gdp_growth_batch
 
 QUANTILE_GRID = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99)
+
+#: Float workspace one block of draws may take: the general-CES sweep holds
+#: (rows, n + 1, n) arrays, which for 10k draws at n = 100 would be 800 MB.
+WORKSPACE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,10 @@ class ShockConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
+        if not np.isfinite(self.mean):
+            raise ValueError("mean must be finite")
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,11 @@ def sample_shocks(n: int, config: ShockConfig) -> Iterator[np.ndarray]:
         yield shock_sample(n, config, k)
 
 
+def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
+    """The stream as a (count, n) matrix; row k is ``shock_sample(n, config, k)``."""
+    return np.array([shock_sample(n, config, k) for k in range(config.count)])
+
+
 def simulate_distribution(
     economy: Economy,
     prefs: HouseholdPrefs,
@@ -96,38 +106,40 @@ def simulate_distribution(
 ) -> DistributionSummary:
     """Push the shock stream through a Domar aggregator and summarize.
 
-    Unviable draws are counted and excluded; all statistics are over the
-    viable draws only.  Results are identical for any ``workers`` value
-    because draws are indexed and aggregated in index order.
+    ``workers`` is the number of row blocks of the shock matrix, not a thread
+    count; results are identical for any value (see distribution_from_shocks).
     """
-    shocks = [shock_sample(economy.n, config, k) for k in range(config.count)]
-
-    def evaluate(z):
-        return real_gdp_growth(economy, prefs, z, method=method)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, shocks))
-    else:
-        outcomes = [evaluate(z) for z in shocks]
-
-    samples = np.array(
-        [g for g in outcomes if not isinstance(g, Unviable)], dtype=float
+    shocks = shock_matrix(economy.n, config)
+    return distribution_from_shocks(
+        economy, prefs, shocks, method, config.seed, workers
     )
-    n_unviable = config.count - samples.size
+
+
+def distribution_from_shocks(
+    economy, prefs, shocks, method=GENERAL_CES, seed=0, workers=1
+) -> DistributionSummary:
+    """Summarize ln H over the viable rows of a (count, n) shock matrix.
+
+    Unviable draws are counted and excluded.  The rows are solved in
+    ``workers`` blocks, each capped at WORKSPACE_BYTES, and a row's value
+    does not depend on its block.  ``seed`` is only recorded in the summary.
+    """
+    count, n = shocks.shape
+    cap = WORKSPACE_BYTES // (8 * (n + 1) * n)
+    rows = max(1, min(-(-count // max(workers, 1)), cap))
+    blocks = [real_gdp_growth_batch(economy, prefs, shocks[i : i + rows], method)
+              for i in range(0, count, rows)]
+    samples = np.concatenate([ln_h[viable] for ln_h, viable in blocks])
     if samples.size == 0:
-        raise AllSamplesUnviable(
-            f"all {config.count} samples unviable for method {method!r}"
-        )
-    return summarize_samples(
-        samples, n_unviable=n_unviable, method=method, seed=config.seed
-    )
+        raise AllSamplesUnviable(f"all {count} samples unviable for method {method!r}")
+    return summarize_samples(samples, count - samples.size, method, seed)
 
 
 def summarize_samples(samples, n_unviable=0, method="", seed=0) -> DistributionSummary:
     """Build a DistributionSummary from raw ln H draws."""
     samples = np.asarray(samples, dtype=float)
     mean = float(np.mean(samples))
+    variance = skewness = kurtosis = 0.0
     if samples.size > 1:
         variance = float(np.var(samples, ddof=1))
         sd = np.sqrt(np.var(samples))
@@ -135,13 +147,6 @@ def summarize_samples(samples, n_unviable=0, method="", seed=0) -> DistributionS
             centred = (samples - mean) / sd
             skewness = float(np.mean(centred**3))
             kurtosis = float(np.mean(centred**4) - 3.0)
-        else:
-            skewness = 0.0
-            kurtosis = 0.0
-    else:
-        variance = 0.0
-        skewness = 0.0
-        kurtosis = 0.0
     quantiles = {
         f"{q:g}": float(np.quantile(samples, q)) for q in QUANTILE_GRID
     }

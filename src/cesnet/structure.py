@@ -81,9 +81,10 @@ def equilibrium_structure(economy: Economy, pi, pi0, z) -> EquilibriumStructure:
 def hawkins_simon(B) -> bool:
     """True iff every leading principal minor of ``I - B`` is positive.
 
-    Computed from the pivots of an unpivoted LU factorization (the k-th
-    leading minor is the product of the first k pivots); falls back to
-    explicit determinants if a pivot underflows to zero.
+    Computed from the pivots of an unpivoted LU factorization: the k-th
+    leading minor is the product of the first k pivots, so the test fails
+    at the first pivot that is not positive (including one that underflows
+    to zero).
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:

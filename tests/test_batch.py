@@ -1,0 +1,245 @@
+"""The batched equilibrium engine against its K = 1 wrappers.
+
+Every row of a batched solve must equal, bit for bit, the single-shock call
+on that row: prices, iteration count, residual and status for the recursive
+solver, prices and viability for the closed forms, ln H for the household
+aggregation.  Monte Carlo summaries must not depend on how the draws are cut
+into blocks.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cesnet import equilibrium, montecarlo
+from cesnet.economy import Economy
+from cesnet.equilibrium import (
+    CONVERGED,
+    DIVERGED,
+    GAMMA_SWITCH,
+    MAX_ITERATIONS,
+    OVERFLOW_GUARD,
+    solve_cobb_douglas,
+    solve_cobb_douglas_batch,
+    solve_fixed_point,
+    solve_fixed_point_batch,
+    solve_leontief,
+    solve_leontief_batch,
+)
+from cesnet.errors import NonPositiveValue, NoPositiveSolution, SingularSystem
+from cesnet.household import (
+    COBB_DOUGLAS,
+    GENERAL_CES,
+    LEONTIEF,
+    METHODS,
+    HouseholdPrefs,
+    Unviable,
+    real_gdp_growth,
+    real_gdp_growth_batch,
+)
+from cesnet.montecarlo import ShockConfig, simulate_distribution
+
+from conftest import random_economy, random_shares
+
+
+@st.composite
+def economies(draw):
+    """Random economies, some with sectors below the log-limit switch."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(-1.0, 1.5, n)
+    tiny = rng.random(n) < draw(st.sampled_from([0.0, 0.4]))
+    gamma[tiny] = rng.choice([0.0, 0.3 * GAMMA_SWITCH, -0.7 * GAMMA_SWITCH], tiny.sum())
+    return random_economy(seed, n, gamma=gamma)
+
+
+@st.composite
+def shock_matrices(draw, n):
+    """(K, n) shocks; large sigma makes diverging and unviable draws."""
+    K = draw(st.integers(min_value=1, max_value=12))
+    sigma = draw(st.sampled_from([0.1, 0.6, 1.5]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return np.exp(sigma * np.random.default_rng(seed).standard_normal((K, n)))
+
+
+def reference_fixed_point(e, z, tol=1e-10, max_iter=10_000):
+    """A plain loop over one shock vector, one sweep at a time."""
+    aug, g = e.augmented_coefficients(), e.gamma
+    small = np.abs(g) < GAMMA_SWITCH
+    paug = np.ones(e.n + 1)
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        c = np.empty(e.n)
+        c[small] = np.exp(np.log(paug) @ aug[:, small])
+        gr = g[~small]
+        powers = paug[:, None] ** gr
+        c[~small] = np.einsum("ij,ij->j", aug[:, ~small], powers) ** (1 / gr)
+        pi = c / z
+        if not np.all(np.isfinite(pi) & (pi > 0) & (pi <= OVERFLOW_GUARD)):
+            return pi, it, np.inf, DIVERGED
+        residual = np.max(np.abs(pi - paug[1:]))
+        paug[1:] = pi
+        if residual <= tol:
+            return pi, it, residual, CONVERGED
+    return paug[1:], max_iter, residual, MAX_ITERATIONS
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), max_iter=st.sampled_from([1, 5, 30, 10_000]))
+def test_fixed_point_rows_equal_single_solves(data, max_iter):
+    e = data.draw(economies())
+    Z = data.draw(shock_matrices(e.n))
+    batch = solve_fixed_point_batch(e, Z, max_iter=max_iter)
+    for k, z in enumerate(Z):
+        one = solve_fixed_point(e, z, max_iter=max_iter)
+        got = batch.row(k)
+        np.testing.assert_array_equal(got.pi, one.pi)
+        assert (got.iterations, got.residual, got.status) == (
+            one.iterations, one.residual, one.status)
+        ref_pi, *ref = reference_fixed_point(e, z, max_iter=max_iter)
+        np.testing.assert_array_equal(got.pi, ref_pi)
+        assert [got.iterations, got.residual, got.status] == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_rows_equal_single_solves(data):
+    e = data.draw(economies())
+    Z = data.draw(shock_matrices(e.n))
+    pi, viable, singular = solve_leontief_batch(e, Z)
+    log_cd = solve_cobb_douglas_batch(e, Z)
+    for k, z in enumerate(Z):
+        try:
+            one = solve_leontief(e, z)
+        except SingularSystem:
+            assert singular[k] and not viable[k]
+        except NoPositiveSolution:
+            assert not viable[k] and not singular[k]
+        else:
+            assert viable[k]
+            np.testing.assert_array_equal(pi[k], one)
+            np.testing.assert_array_equal(pi[k], reference_leontief(e, z))
+        np.testing.assert_array_equal(log_cd[k], solve_cobb_douglas(e, z))
+        np.testing.assert_array_equal(log_cd[k], reference_cobb_douglas(e, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    method=st.sampled_from(METHODS),
+    kappa=st.sampled_from([0.0, 0.5, -1.2]),
+    max_iter=st.sampled_from([5, 10_000]),
+)
+def test_growth_rows_equal_single_aggregations(data, method, kappa, max_iter):
+    e = data.draw(economies())
+    Z = data.draw(shock_matrices(e.n))
+    prefs = HouseholdPrefs(mu=random_shares(e.n, e.n), kappa=kappa)
+    ln_h, viable = real_gdp_growth_batch(e, prefs, Z, method, max_iter=max_iter)
+    for k, z in enumerate(Z):
+        one = real_gdp_growth(e, prefs, z, method, max_iter=max_iter)
+        if isinstance(one, Unviable):
+            assert not viable[k] and ln_h[k] == 0.0
+        else:
+            assert viable[k] and ln_h[k] == one
+            assert one == reference_growth(e, prefs, z, method, max_iter)
+
+
+def reference_leontief(e, z):
+    return np.linalg.solve((np.diag(z) - e.A).T, e.a0)
+
+
+def reference_cobb_douglas(e, z):
+    return np.linalg.solve((np.eye(e.n) - e.A).T, -np.log(z))
+
+
+def reference_growth(e, prefs, z, method, max_iter):
+    """ln H of one viable draw, priced one shock vector at a time."""
+    if method == GENERAL_CES:
+        pi = np.exp(np.log(reference_fixed_point(e, z, max_iter=max_iter)[0]))
+    elif method == LEONTIEF:
+        pi = np.exp(np.log(reference_leontief(e, z)))
+    else:
+        pi = np.exp(reference_cobb_douglas(e, z))
+    mu, k = prefs.mu, prefs.kappa
+    if k == 0:
+        return mu @ np.log(1.0 / z) - mu @ np.log(pi)
+    return np.log(mu @ (1.0 / z) ** k) / k - np.log(mu @ pi**k) / k
+
+
+@pytest.mark.parametrize("round_sweeps", [1, 3, equilibrium.MAX_ROUND_SWEEPS])
+def test_one_batch_holds_every_status(monkeypatch, round_sweeps):
+    # Rows must not depend on how many sweeps run between two checks, and
+    # the discarded sweeps past a row's divergence must stay silent.
+    monkeypatch.setattr(equilibrium, "MAX_ROUND_SWEEPS", round_sweeps)
+    e = random_economy(3, 4, gamma=0.9)
+    Z = np.array([np.ones(4), np.full(4, 0.3), np.full(4, 1.2), np.full(4, 0.6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_fixed_point_batch(e, Z, max_iter=200)
+    assert list(batch.status) == [CONVERGED, DIVERGED, CONVERGED, MAX_ITERATIONS]
+    assert batch.residual[1] == np.inf
+    for k, z in enumerate(Z):
+        ref_pi, *ref = reference_fixed_point(e, z, max_iter=200)
+        np.testing.assert_array_equal(batch.pi[k], ref_pi)
+        assert [batch.iterations[k], batch.residual[k], batch.status[k]] == ref
+
+
+def test_singular_leontief_row_fails_alone():
+    e = Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0])
+    Z = np.array([[2.0], [0.5], [0.25], [1.0]])  # 0.5 - 0.5 = 0 is singular
+    pi, viable, singular = solve_leontief_batch(e, Z)
+    assert list(singular) == [False, True, False, False]
+    assert list(viable) == [True, False, False, True]
+    np.testing.assert_array_equal(pi[[0, 3]], [[0.5 / 1.5], [1.0]])
+    with pytest.raises(SingularSystem):
+        solve_leontief(e, Z[1])
+    prefs = HouseholdPrefs(mu=[1.0])
+    _, ok = real_gdp_growth_batch(e, prefs, Z, LEONTIEF)
+    assert list(ok) == [True, False, False, True]
+
+
+def test_batch_raises_the_first_rows_error():
+    e = random_economy(0, 3)
+    prefs = HouseholdPrefs(mu=random_shares(0, 3))
+    Z = np.ones((4, 3))
+    Z[2, 1] = np.nan
+    Z[3, 0] = -1.0
+    with pytest.raises(NonPositiveValue, match="nan"):
+        real_gdp_growth_batch(e, prefs, Z, COBB_DOUGLAS)
+    with pytest.raises(NonPositiveValue, match="nan"):
+        solve_fixed_point_batch(e, Z)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_distribution_independent_of_blocks(monkeypatch, method):
+    # Inelastic economy under large shocks: unviable Leontief draws and a
+    # long tail of general-CES sweeps.
+    e = random_economy(42, 6, gamma=0.9)
+    prefs = HouseholdPrefs(mu=random_shares(1, 6))
+    cfg = ShockConfig(count=120, sigma=0.5, seed=11)
+    runs = [simulate_distribution(e, prefs, cfg, method, workers=w)
+            for w in (1, 3, 8)]
+    # 5 rows of (n + 1) * n floats per block: 24 blocks whatever the workers.
+    monkeypatch.setattr(montecarlo, "WORKSPACE_BYTES", 5 * 8 * 7 * 6)
+    runs += [simulate_distribution(e, prefs, cfg, method, workers=w)
+             for w in (1, 8)]
+    for other in runs[1:]:
+        assert other.samples.tobytes() == runs[0].samples.tobytes()
+        assert other.to_dict() == runs[0].to_dict()
+    if method == LEONTIEF:
+        assert runs[0].n_unviable > 0
+
+
+def test_distribution_uses_one_row_per_draw(monkeypatch):
+    calls = []
+    real = montecarlo.shock_sample
+    monkeypatch.setattr(montecarlo, "shock_sample",
+                        lambda *a: calls.append(a) or real(*a))
+    e = random_economy(0, 3)
+    prefs = HouseholdPrefs(mu=random_shares(0, 3))
+    simulate_distribution(e, prefs, ShockConfig(count=25, seed=2), GENERAL_CES)
+    assert len(calls) == 25

@@ -99,6 +99,32 @@ class TestUsageErrors:
         assert rc == 2
 
 
+class TestNonFiniteSigma:
+    @pytest.mark.parametrize("subcommand", ["simulate", "experiment"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1", "0"])
+    def test_bad_sigma_is_usage_error(self, tmp_path, capsys, subcommand, sigma):
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            subcommand, "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--count", "5", "--sigma", sigma,
+            "--outdir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage:") and "--sigma" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_sigma_in_config_is_usage_error(self, tmp_path, capsys):
+        io_path, el_path = write_economy(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"economy = {io_path}\nelasticities = {el_path}\n"
+                       f"prefs = {write_prefs(tmp_path)}\nsigma = nan\n")
+        rc = main(["--config", str(cfg), "experiment", "--count", "5",
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--sigma" in capsys.readouterr().err
+
+
 class TestStructure:
     def test_benchmark_structure_files(self, tmp_path):
         io_path, el_path = write_economy(tmp_path)

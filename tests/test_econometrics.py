@@ -104,6 +104,16 @@ class TestWithinTransform:
         with pytest.raises(SingletonEntity):
             within_transform(p)
 
+    def test_singleton_message_names_the_entity_plainly(self):
+        p = PanelDataset(
+            entity=np.array(["a", "b", "b"]),
+            period=np.array([1, 1, 2]),
+            y=np.zeros(3),
+            x=np.zeros(3),
+        )
+        with pytest.raises(SingletonEntity, match=r"^entity 'a' has fewer"):
+            within_transform(p)
+
 
 class TestFeOls:
     def test_exact_recovery_without_noise(self):

@@ -1,0 +1,73 @@
+"""Golden-bytes regression test of ``cesnet experiment``.
+
+The SHA-256 of every output file is pinned for two small runs: the
+mixed-elasticity ten-sector economy of the acceptance criteria, and an
+inelastic economy (gamma = 0.9) under large shocks (sigma = 0.5), where two
+of the 300 Leontief draws are unviable.  The digests were recorded with the
+per-draw scalar solver, so they guard the batched engine against any change
+of the output bytes.  Each run is repeated with three workers (chunks).
+"""
+
+import hashlib
+
+import pytest
+
+from cesnet.cli import main
+from cesnet.economy import save_economy
+
+from conftest import random_economy, random_shares
+
+MIXED = {
+    "qq_cobb_douglas.csv": "41e014274902f7b32316337f7b6009e065d1bd240326f34dfca80f73a5d88ec6",
+    "qq_general_ces.csv": "20182f412ba4dc3eace0003013bdfc4a038f6ec11f59ca9530882602822be7a7",
+    "qq_leontief.csv": "451b644204434f33dd41b305148fcfe576d4c5b3d263f192e864ff594065be16",
+    "report.json": "f1542b179147535cb22b96e017b12224f4a5fd884754db9ed02b3c939e256772",
+    "samples_cobb_douglas.csv": "c9c2aed1a2d20655e7a5d3e5fb500c554993b123b2322b9d29422c3881e795f5",
+    "samples_general_ces.csv": "0847874ec43eb8ef7b4c46784a98bba782123688429b36b1e738cca777a1b542",
+    "samples_leontief.csv": "62d35b653a2cdf8c1e6dc069cdb58d44aed3e4747f9b67dd54489758cb7525a4",
+    "summary_cobb_douglas.json": "fc1a3c5a7716af513a687d41f1fdc2846f9c2bf53fab215c6dc12938631cba00",
+    "summary_general_ces.json": "b08a48305f6a2a1d4038ec61e0bd181c4155c474f28f6464e209c4eda2e70443",
+    "summary_leontief.json": "0dd47870ae1bceef84db4461c8ae687c557113d185374c180235ce19eb28eaa3",
+}
+
+INELASTIC = {
+    "qq_cobb_douglas.csv": "2d4beba5843636685f84f9c4425ca461d1933ef7f6e70597623458149cc1528f",
+    "qq_general_ces.csv": "9fce8ccd3861b30c751922236ec6ede4579b0500dae2bbebae9915c811989b97",
+    "qq_leontief.csv": "295f600f899509d5c4a1be3f116a911d92c74253167d9cf807e2c9f7f12c2062",
+    "report.json": "d14f05423b98fc89da7f7faad1ec95cde486ceb31d9449f00854cd4ab391f489",
+    "samples_cobb_douglas.csv": "3a751fa46524e56f87306778c744b4bc6bf8bc3b0916718bf84e1bc7b95e5411",
+    "samples_general_ces.csv": "36e3c3215fee276c4ea3e3ef16c1412c7ddab63c194f98b30360b5d18583cacb",
+    "samples_leontief.csv": "1168f59f30d389d7f887a83b544bae1320313e51a0e6f197ee91ed2303b84ebf",
+    "summary_cobb_douglas.json": "08baf8d4ab0e9b1931e67101631f3ef9443b4f41c125b5e0b9f09c428fda5d2d",
+    "summary_general_ces.json": "a88a8259504d042361287c60ef381d621d8fa34987b0235b9d32537195900fef",
+    "summary_leontief.json": "2cbdd9bc99c03d3fb585b57736f155ee4eb8243214a3e5d5d9262fedfd8daa5d",
+}
+
+
+def experiment_digests(tmp_path, economy, sigma, workers):
+    io_path, el_path, mu_path = (tmp_path / f for f in ("io.csv", "el.csv", "mu.csv"))
+    save_economy(economy, io_path, el_path)
+    mu = random_shares(1, economy.n)
+    mu_path.write_text(
+        "".join(f"{lab},{float(v)!r}\n" for lab, v in zip(economy.labels, mu))
+    )
+    out = tmp_path / "out"
+    assert main([
+        "experiment", "--economy", str(io_path), "--elasticities", str(el_path),
+        "--prefs", str(mu_path), "--count", "300", "--sigma", repr(sigma),
+        "--seed", "7", "--workers", str(workers), "--outdir", str(out),
+    ]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mixed_elasticity_outputs_pinned(tmp_path, workers):
+    economy = random_economy(42, 10)
+    assert experiment_digests(tmp_path, economy, 0.2, workers) == MIXED
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_inelastic_outputs_with_unviable_draws_pinned(tmp_path, workers):
+    economy = random_economy(42, 10, gamma=0.9)
+    assert experiment_digests(tmp_path, economy, 0.5, workers) == INELASTIC

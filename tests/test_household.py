@@ -59,6 +59,13 @@ class TestPriceIndex:
         with pytest.raises(ValueError):
             HouseholdPrefs(mu=[1.2, -0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prefs_reject_non_finite_shares(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HouseholdPrefs(mu=[bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            HouseholdPrefs(mu=[1.0, bad])
+
 
 class TestNominalIncome:
     def test_unit_shock_gives_h_prev(self):

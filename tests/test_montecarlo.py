@@ -44,6 +44,16 @@ class TestShockStream:
         with pytest.raises(ValueError):
             ShockConfig(sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["sigma", "mean"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShockConfig(**{field: value})
+
+    def test_config_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma"):
+            ShockConfig(sigma=-1.0)
+
 
 class TestSimulateDistribution:
     def test_worker_count_does_not_change_samples(self):
