@@ -35,15 +35,14 @@ DEFAULT_SEED = 20110101
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = _load_config_from_argv(argv)
-    parser = _build_parser(config)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser(_load_config_from_argv(argv)).parse_args(argv)
         return args.func(args)
-    except CesnetError as exc:
+    except SystemExit as exc:  # argparse: usage error, or --help
+        return int(exc.code or 0)
+    except (CesnetError, OSError) as exc:
+        # OSError: an input file that is missing or unreadable, or an
+        # output that cannot be written.
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,
@@ -106,7 +105,7 @@ def _build_parser(config):
     def prefs_opts(p):
         opt(p, "--prefs", required="prefs" not in config,
             help="expenditure shares CSV (label,mu)")
-        opt(p, "--kappa", type=float, default=0.0,
+        opt(p, "--kappa", type=_finite_float, default=0.0,
             help="household utility curvature (default 0, Cobb-Douglas)")
 
     p = add("solve", _cmd_solve, "solve equilibrium prices for a shock")
@@ -133,10 +132,10 @@ def _build_parser(config):
     economy_opts(p)
     prefs_opts(p)
     opt(p, "--method", choices=METHODS, default="general-ces")
-    opt(p, "--count", type=int, default=10000)
+    opt(p, "--count", type=_positive_int, default=10000)
     opt(p, "--sigma", type=_positive_float, default=0.2)
     opt(p, "--seed", type=int, default=DEFAULT_SEED)
-    opt(p, "--workers", type=int, default=1)
+    opt(p, "--workers", type=_positive_int, default=1)
     opt(p, "--outdir", default=".")
 
     p = add("qq", _cmd_qq, "normal QQ points of a sample CSV")
@@ -169,10 +168,10 @@ def _build_parser(config):
             "paired-sample comparison of the three aggregators")
     economy_opts(p)
     prefs_opts(p)
-    opt(p, "--count", type=int, default=10000)
+    opt(p, "--count", type=_positive_int, default=10000)
     opt(p, "--sigma", type=_positive_float, default=0.2)
     opt(p, "--seed", type=int, default=DEFAULT_SEED)
-    opt(p, "--workers", type=int, default=1)
+    opt(p, "--workers", type=_positive_int, default=1)
     opt(p, "--outdir", default=".")
 
     return parser
@@ -182,6 +181,20 @@ def _positive_float(text):
     value = float(text)
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return value
+
+
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
     return value
 
 
@@ -413,9 +426,14 @@ def _cmd_gbm(args) -> int:
     return 0
 
 
-def _load_table_columns(path):
+def _read_rows(path):
+    """The rows of a CSV file that hold a non-blank cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        return [r for r in csv.reader(fh) if "".join(r).strip()]
+
+
+def _load_table_columns(path):
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise MalformedTable("need a header row and data rows")
     names = [c.strip() for c in rows[0]]
@@ -480,8 +498,7 @@ def _estimate_payload(estimate):
 
 
 def _load_panel(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise MalformedTable("panel CSV needs a header and data rows")
     header = [c.strip() for c in rows[0]]
@@ -489,33 +506,43 @@ def _load_panel(path):
         raise MalformedTable(
             "panel header must start with entity,period,share,price"
         )
-    inst_cols = header[4:]
-    inst_names = [c[5:] if c.startswith("inst_") else c for c in inst_cols]
-    entity, period, share, price = [], [], [], []
-    inst_data = {name: [] for name in inst_names}
-    for idx, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise MalformedTable(f"panel row {idx} has {len(row)} fields")
-        entity.append(row[0].strip())
-        period.append(int(row[1]))
-        share.append(float(row[2]))
-        price.append(float(row[3]))
-        for name, cell in zip(inst_names, row[4:]):
-            inst_data[name].append(float(cell))
-    share = np.asarray(share)
-    price = np.asarray(price)
+    inst_names = [c[5:] if c.startswith("inst_") else c for c in header[4:]]
+    if set(map(len, rows)) != {len(header)}:
+        idx, row = next((i, r) for i, r in enumerate(rows[1:], start=2)
+                        if len(r) != len(header))
+        raise MalformedTable(f"panel row {idx} has {len(row)} fields")
+    columns = list(zip(*rows[1:]))
+    del rows
+    entity = list(map(str.strip, columns[0]))
+    period = _panel_column(columns[1], int, "period")
+    share, price, *inst = (_panel_column(col, float, name)
+                           for name, col in zip(header[2:], columns[2:]))
     # Zero shares have no log; NaN rows are masked by the constructor.
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.where(share > 0, np.log(np.where(share > 0, share, 1.0)), np.nan)
         x = np.log(price)
     panel = em.PanelDataset(
         entity=np.asarray(entity),
-        period=np.asarray(period),
+        period=period,
         y=y,
         x=x,
-        instruments={k: np.asarray(v) for k, v in inst_data.items()},
+        instruments=dict(zip(inst_names, inst)),
     )
     return panel, inst_names
+
+
+def _panel_column(cells, convert, what):
+    try:
+        return np.asarray(list(map(convert, cells)))
+    except ValueError:
+        for idx, cell in enumerate(cells, start=2):
+            try:
+                convert(cell)
+            except ValueError:
+                raise MalformedTable(
+                    f"non-numeric {what} {cell!r} in panel row {idx}"
+                ) from None
+        raise
 
 
 def _cmd_experiment(args) -> int:

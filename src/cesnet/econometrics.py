@@ -17,9 +17,11 @@ import numpy as np
 from scipy import stats
 
 from .errors import (
+    DuplicateObservation,
     GammaNearZero,
     RankDeficient,
     SingletonEntity,
+    UnknownInstrument,
     WeakInstrumentWarning,
 )
 
@@ -123,7 +125,7 @@ class ElasticityEstimate:
 
 def within_transform(panel: PanelDataset) -> PanelDataset:
     """Demean y, x and every instrument by entity over included periods."""
-    demean = _entity_demeaner(panel.entity)
+    demean, _ = _entity_demeaner(panel.entity)
     return replace(
         panel,
         y=demean(panel.y),
@@ -143,24 +145,24 @@ def _entity_demeaner(entity):
         means = np.bincount(inverse, weights=v) / counts
         return v - means[inverse]
 
-    return demean
+    return demean, codes.size
 
 
-def _design(panel: PanelDataset):
-    """Entity-demeaned response, regressors [x, D_2..D_T] and instruments."""
-    demean = _entity_demeaner(panel.entity)
+def _design(panel: PanelDataset, instrument_spec=()):
+    """Entity-demeaned response y, price x, time dummies D = [D_2..D_T],
+    regressors X = [x, D] and instruments Z = [named instruments, D]."""
+    demean, n_entities = _entity_demeaner(panel.entity)
     periods = panel.periods
     if periods.size < 2:
         raise RankDeficient("need at least two periods for time dummies")
-    dummies = np.column_stack(
-        [(panel.period == t).astype(float) for t in periods[1:]]
+    D = np.column_stack(
+        [demean((panel.period == t).astype(float)) for t in periods[1:]]
     )
     y = demean(panel.y)
     x = demean(panel.x)
-    D = np.column_stack([demean(col) for col in dummies.T])
     X = np.column_stack([x, D])
-    n_entities = panel.entities.size
-    return y, x, X, D, periods, n_entities
+    Z = np.column_stack([*(demean(panel.instruments[k]) for k in instrument_spec), D])
+    return y, x, X, D, Z, periods, n_entities
 
 
 def _check_rank(M, what):
@@ -174,7 +176,7 @@ def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
     Standard errors use the fixed-effects degrees of freedom
     ``nobs - n_entities - k``.
     """
-    y, _, X, _, periods, n_entities = _design(panel)
+    y, _, X, _, _, periods, n_entities = _design(panel)
     _check_rank(X, "FE design matrix")
     beta, cov = _ols_fit(y, X, dof=panel.nobs - n_entities - X.shape[1])
     return ElasticityEstimate(
@@ -205,10 +207,8 @@ def fe_2sls(
     missing = [k for k in instrument_spec if k not in panel.instruments]
     if missing:
         raise ValueError(f"unknown instruments: {missing}")
-    y, x, X, D, periods, n_entities = _design(panel)
-    demean = _entity_demeaner(panel.entity)
-    V = np.column_stack([demean(panel.instruments[k]) for k in instrument_spec])
-    Z = np.column_stack([V, D])
+    design = _design(panel, instrument_spec)
+    y, _, X, _, Z, periods, n_entities = design
     _check_rank(X, "FE design matrix")
     _check_rank(Z, "instrument matrix")
 
@@ -226,7 +226,7 @@ def fe_2sls(
     s2 = float(resid @ resid) / dof
     cov = s2 * XtPX_inv
 
-    diag = iv_diagnostics(panel, instrument_spec, beta_2sls=beta)
+    diag = _iv_diagnostics(design, instrument_spec, beta)
     if diag.first_stage_f < WEAK_INSTRUMENT_F:
         warnings.warn(
             f"first-stage F = {diag.first_stage_f:.2f} below "
@@ -261,12 +261,14 @@ def iv_diagnostics(
     just identified.  The endogeneity test augments the structural OLS with
     the first-stage residuals (Davidson-MacKinnon F with 1 numerator dof).
     """
-    y, x, X, D, _, n_entities = _design(panel)
-    demean = _entity_demeaner(panel.entity)
-    V = np.column_stack([demean(panel.instruments[k]) for k in instrument_spec])
-    Z = np.column_stack([V, D])
-    n = panel.nobs
-    L = V.shape[1]
+    return _iv_diagnostics(_design(panel, instrument_spec), instrument_spec, beta_2sls)
+
+
+def _iv_diagnostics(design, instrument_spec, beta_2sls):
+    y, x, X, D, Z, _, n_entities = design
+    n = y.size
+    L = len(instrument_spec)
+    V = Z[:, :L]
 
     # First-stage F: partial the dummies out of x and the excluded
     # instruments, then test the joint significance of the instruments.
@@ -372,24 +374,33 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     if token not in panel.instruments and token[:1] in ("l", "f", "d"):
         transform, name = token[0], token[1:]
     if name not in panel.instruments:
-        raise ValueError(f"unknown instrument {token!r}")
+        raise UnknownInstrument(f"unknown instrument {token!r}")
     if transform is None:
         return name, panel
     col_name = f"{transform}_{name}"
     if col_name in panel.instruments:
         return col_name, panel
-    base = panel.instruments[name]
+    # After one sort by (entity, period), a row's neighbour is the next row
+    # in sorted order when both belong to the same entity.
+    order = np.lexsort((panel.period, panel.entity))
+    entity, period = panel.entity[order], panel.period[order]
+    same = entity[1:] == entity[:-1]
+    twin = np.flatnonzero(same & (period[1:] == period[:-1]))
+    if twin.size:
+        k = twin[0]
+        raise DuplicateObservation(
+            f"entity {entity[k].item()!r} has more than one row "
+            f"for period {period[k].item()!r}"
+        )
+    v = panel.instruments[name][order]
+    lo, hi = v[:-1][same], v[1:][same]
     out = np.full(panel.nobs, np.nan)
-    for ent in panel.entities:
-        idx = np.flatnonzero(panel.entity == ent)
-        order = idx[np.argsort(panel.period[idx])]
-        v = base[order]
-        if transform == "l":
-            out[order[1:]] = v[:-1]
-        elif transform == "f":
-            out[order[:-1]] = v[1:]
-        else:  # first difference
-            out[order[1:]] = v[1:] - v[:-1]
+    if transform == "l":
+        out[order[1:][same]] = lo
+    elif transform == "f":
+        out[order[:-1][same]] = hi
+    else:  # first difference
+        out[order[1:][same]] = hi - lo
     instruments = dict(panel.instruments)
     instruments[col_name] = out
     return col_name, PanelDataset(

@@ -69,6 +69,14 @@ class SingletonEntity(CesnetError):
     """An entity has fewer than two included observations."""
 
 
+class DuplicateObservation(CesnetError):
+    """A panel holds more than one row for one (entity, period) pair."""
+
+
+class UnknownInstrument(CesnetError, ValueError):
+    """An instrument name or transform token names no panel column."""
+
+
 class RankDeficient(CesnetError):
     """Design matrix is rank deficient after the within transform."""
 

@@ -39,6 +39,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def single_json_error(capsys):
+    """The one JSON line a domain error leaves on stderr, parsed."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return json.loads(err)
+
+
 class TestSolve:
     def test_benchmark_prices_are_one(self, tmp_path):
         io_path, el_path = write_economy(tmp_path)
@@ -123,6 +130,56 @@ class TestNonFiniteSigma:
                    "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert "--sigma" in capsys.readouterr().err
+
+
+class TestBadCountWorkersKappa:
+    @pytest.mark.parametrize("subcommand", ["simulate", "experiment"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-3"), ("--workers", "0"),
+        ("--kappa", "nan"), ("--kappa", "inf"),
+    ])
+    def test_is_usage_error(self, tmp_path, capsys, subcommand, flag, value):
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            subcommand, "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--count", "5", flag, value,
+            "--outdir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage:") and flag in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMissingFiles:
+    @pytest.mark.parametrize("missing", [
+        "panel", "input", "config", "economy", "elasticities", "prefs",
+        "shocks",
+    ])
+    def test_missing_input_file_is_domain_error(self, tmp_path, capsys, missing):
+        io_path, el_path = write_economy(tmp_path)
+        series = tmp_path / "series.csv"
+        series.write_text("1.0\n2.0\n3.0\n")
+        gone = str(tmp_path / "missing.csv")
+        qq = ["qq", "--outdir", str(tmp_path / "out"), "--input"]
+        argv = {
+            "panel": ["estimate", "--panel", gone],
+            "input": [*qq, gone],
+            "config": ["--config", gone, *qq, str(series)],
+        }.get(missing)
+        if argv is None:
+            inputs = {"economy": io_path, "elasticities": el_path,
+                      "prefs": write_prefs(tmp_path),
+                      "shocks": write_shocks(tmp_path), missing: gone}
+            argv = ["aggregate",
+                    *(a for k, v in inputs.items() for a in (f"--{k}", v))]
+        assert main(argv) == 1
+        err = single_json_error(capsys)
+        # The economy loader reports its own unreadable files.
+        assert err["error"] == ("MalformedTable"
+                                if missing in ("economy", "elasticities")
+                                else "FileNotFoundError")
+        assert "missing.csv" in err["message"]
 
 
 class TestStructure:
@@ -308,6 +365,52 @@ class TestEstimate:
         p.write_text("id,period,share,price\n1,1,0.5,1.0\n")
         assert main(["estimate", "--panel", str(p)]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("column, cell", [
+        (1, "x"), (1, "2.5"), (2, "zz"), (3, "1,5"), (4, ""),
+    ])
+    def test_non_numeric_cell_is_domain_error(self, tmp_path, capsys,
+                                              column, cell):
+        path = self.write_panel(tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][column] = cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["estimate", "--panel", path]) == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "MalformedTable"
+        assert err["message"].endswith(f"{cell!r} in panel row 3")
+
+    def test_ragged_row_is_domain_error(self, tmp_path, capsys):
+        path = self.write_panel(tmp_path)
+        with open(path, "a") as fh:
+            fh.write("e0,7,0.5\n")
+        assert main(["estimate", "--panel", path]) == 1
+        assert single_json_error(capsys)["message"] == "panel row 152 has 3 fields"
+
+    def test_unknown_instrument_is_domain_error(self, tmp_path, capsys):
+        path = self.write_panel(tmp_path)
+        rc = main(["estimate", "--panel", path, "--method", "iv",
+                   "--iv", "w,qvoid"])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "UnknownInstrument", "message": "unknown instrument 'qvoid'",
+        }
+
+    def test_duplicate_rows_rejected_by_transform(self, tmp_path, capsys):
+        path = self.write_panel(tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "a", newline="") as fh:
+            csv.writer(fh).writerow(rows[9])  # entity e1, period 3
+        rc = main(["estimate", "--panel", path, "--method", "iv",
+                   "--iv", "w,lw"])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "DuplicateObservation",
+            "message": "entity 'e1' has more than one row for period 3",
+        }
 
 
 class TestConfig:

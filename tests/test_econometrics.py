@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesnet.econometrics import (
     IV_FE,
@@ -14,6 +16,7 @@ from cesnet.econometrics import (
     within_transform,
 )
 from cesnet.errors import (
+    DuplicateObservation,
     GammaNearZero,
     RankDeficient,
     SingletonEntity,
@@ -345,3 +348,97 @@ class TestInstrumentTransforms:
         assert name == "l_iv1"
         assert np.all(np.isfinite(p.instruments[name]))
         assert p.nobs == base.nobs - base.entities.size
+
+    def test_duplicate_entity_period_rejected(self):
+        # Two period-2 rows of one entity would pair with each other.
+        p = PanelDataset(
+            entity=np.array(["a", "a", "a", "a"]),
+            period=np.array([1, 2, 2, 3]),
+            y=np.zeros(4),
+            x=np.zeros(4),
+            instruments={"w": np.array([0.0, 1.0, 2.0, 3.0])},
+        )
+        for token in ("lw", "fw", "dw"):
+            with pytest.raises(DuplicateObservation,
+                               match=r"^entity 'a' .* for period 2$"):
+                apply_instrument_transform(p, token)
+
+
+def reference_transform(panel, token):
+    """Per-entity mask scan: the original implementation, kept as oracle."""
+    transform = None
+    name = token
+    if token not in panel.instruments and token[:1] in ("l", "f", "d"):
+        transform, name = token[0], token[1:]
+    if name not in panel.instruments:
+        raise ValueError(f"unknown instrument {token!r}")
+    if transform is None:
+        return name, panel
+    col_name = f"{transform}_{name}"
+    if col_name in panel.instruments:
+        return col_name, panel
+    base = panel.instruments[name]
+    out = np.full(panel.nobs, np.nan)
+    for ent in panel.entities:
+        idx = np.flatnonzero(panel.entity == ent)
+        order = idx[np.argsort(panel.period[idx])]
+        v = base[order]
+        if transform == "l":
+            out[order[1:]] = v[:-1]
+        elif transform == "f":
+            out[order[:-1]] = v[1:]
+        else:  # first difference
+            out[order[1:]] = v[1:] - v[:-1]
+    instruments = dict(panel.instruments)
+    instruments[col_name] = out
+    return col_name, PanelDataset(
+        entity=panel.entity,
+        period=panel.period,
+        y=panel.y,
+        x=panel.x,
+        instruments=instruments,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transform_equals_per_entity_loop(data):
+    """The sort-once transform equals the reference bit for bit.
+
+    Rows are shuffled, periods have gaps and entities differ in length.  x
+    numbers the rows, so equal rebuilt panels mean the same rows got a NaN
+    (and were dropped) under both implementations.  Chained tokens also
+    cover transforms of an already shrunk panel and repeated tokens.
+    """
+    string_labels = data.draw(st.booleans(), label="string labels")
+    rows = []
+    for e in range(data.draw(st.integers(1, 6), label="entities")):
+        periods = data.draw(st.lists(
+            st.integers(-3, 12), min_size=1, max_size=8, unique=True))
+        label = f"s{e}" if string_labels else 7 * e - 10
+        rows += [(label, t) for t in periods]
+    rows = data.draw(st.permutations(rows), label="row order")
+    n = len(rows)
+    w = data.draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n))
+    panel = PanelDataset(
+        entity=np.array([r[0] for r in rows]),
+        period=np.array([r[1] for r in rows]),
+        y=np.zeros(n),
+        x=np.arange(n, dtype=float),
+        instruments={"w": np.array(w)},
+    )
+    new = ref = panel
+    for token in data.draw(st.lists(
+            st.sampled_from(["lw", "fw", "dw", "w"]), min_size=1, max_size=3)):
+        name, new = apply_instrument_transform(new, token)
+        ref_name, ref = reference_transform(ref, token)
+        assert name == ref_name
+        np.testing.assert_array_equal(new.entity, ref.entity)
+        assert new.entity.dtype == ref.entity.dtype
+        for got, want in [(new.period, ref.period), (new.y, ref.y),
+                          (new.x, ref.x)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert new.instruments.keys() == ref.instruments.keys()
+        for k, v in ref.instruments.items():
+            assert new.instruments[k].tobytes() == v.tobytes()

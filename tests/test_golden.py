@@ -1,14 +1,22 @@
-"""Golden-bytes regression test of ``cesnet experiment``.
+"""Golden-bytes regression tests of ``cesnet experiment`` and ``estimate``.
 
-The SHA-256 of every output file is pinned for two small runs: the
-mixed-elasticity ten-sector economy of the acceptance criteria, and an
-inelastic economy (gamma = 0.9) under large shocks (sigma = 0.5), where two
-of the 300 Leontief draws are unviable.  The digests were recorded with the
-per-draw scalar solver, so they guard the batched engine against any change
-of the output bytes.  Each run is repeated with three workers (chunks).
+The SHA-256 of every ``experiment`` output file is pinned for two small
+runs: the mixed-elasticity ten-sector economy of the acceptance criteria,
+and an inelastic economy (gamma = 0.9) under large shocks (sigma = 0.5),
+where two of the 300 Leontief draws are unviable.  The digests were recorded
+with the per-draw scalar solver, so they guard the batched engine against
+any change of the output bytes.  Each run is repeated with three workers
+(chunks).
+
+The ``estimate.json`` digests pin an LS and an IV run on a shuffled panel
+with period gaps, recorded with the per-entity mask-scan instrument
+transform and a fit that built its design twice.
 """
 
+import csv
 import hashlib
+
+import numpy as np
 
 import pytest
 
@@ -71,3 +79,43 @@ def test_mixed_elasticity_outputs_pinned(tmp_path, workers):
 def test_inelastic_outputs_with_unviable_draws_pinned(tmp_path, workers):
     economy = random_economy(42, 10, gamma=0.9)
     assert experiment_digests(tmp_path, economy, 0.5, workers) == INELASTIC
+
+
+ESTIMATE = {
+    "ls": "a854a25a6b2773321a17d50d77c03734e4967ed6d76cbc307d66b04da5a6f4a0",
+    "iv": "603d6c8e1e1a7799e7da9f1631396d98c97dfb8275dac4cc5b5fb2a9b3ad7d17",
+}
+
+
+def write_golden_panel(path):
+    """25 entities over 8 periods, two instruments, rows shuffled and 10
+    rows dropped, so lags and leads must sort and skip period gaps."""
+    rng = np.random.default_rng(5)
+    rows = []
+    alpha = rng.normal(0, 0.5, 25)
+    delta = rng.normal(0, 0.2, 8)
+    for i in range(25):
+        for t in range(8):
+            w, v = rng.normal(0, 1, 2)
+            lnp = 0.6 * w + 0.4 * v + rng.normal(0, 0.2)
+            lns = alpha[i] + delta[t] + 0.5 * lnp + rng.normal(0, 0.2)
+            rows.append([
+                f"e{i}", t + 1, repr(float(np.exp(lns))),
+                repr(float(np.exp(lnp))), repr(float(w)), repr(float(v)),
+            ])
+    keep = rng.permutation(len(rows))[10:]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["entity", "period", "share", "price", "inst_w", "inst_v"])
+        writer.writerows(rows[k] for k in keep)
+
+
+@pytest.mark.parametrize("run, flags", [
+    ("ls", ["--method", "ls"]),
+    ("iv", ["--method", "iv", "--iv", "w,lv,fw,dv"]),
+])
+def test_estimate_output_pinned(tmp_path, run, flags):
+    panel, out = tmp_path / "panel.csv", tmp_path / "estimate.json"
+    write_golden_panel(panel)
+    assert main(["estimate", "--panel", str(panel), *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ESTIMATE[run]
