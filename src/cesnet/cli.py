@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -36,13 +37,15 @@ DEFAULT_SEED = 20110101
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser(_load_config_from_argv(argv)).parse_args(argv)
+        config = _load_config_from_argv(argv)
+        args = _build_parser(tuple(config.items())).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: usage error, or --help
         return int(exc.code or 0)
-    except (CesnetError, OSError) as exc:
+    except (CesnetError, OSError, UnicodeDecodeError) as exc:
         # OSError: an input file that is missing or unreadable, or an
-        # output that cannot be written.
+        # output that cannot be written; UnicodeDecodeError: an input
+        # file that is not UTF-8.
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,
@@ -55,10 +58,17 @@ def main(argv=None) -> int:
 # --- configuration ----------------------------------------------------------
 
 def _load_config_from_argv(argv):
-    if "--config" not in argv:
-        return {}
-    path = argv[argv.index("--config") + 1]
-    return load_config(path)
+    """Load the file of a ``--config`` given before the subcommand.
+
+    The pre-parser reads ``--config`` as the full parser does (``--config
+    FILE``, ``--config=FILE``, abbreviations; a missing value is a usage
+    error), and leaves the subcommand and its flags alone.
+    """
+    pre = argparse.ArgumentParser(prog="cesnet", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    path = pre.parse_known_args(argv)[0].config
+    return {} if path is None else load_config(path)
 
 
 def load_config(path) -> dict:
@@ -75,7 +85,14 @@ def load_config(path) -> dict:
     return out
 
 
-def _build_parser(config):
+@functools.lru_cache
+def _build_parser(config_items):
+    """The parser for one config file's ``(key, value)`` items.
+
+    Memoised: building it takes milliseconds, and parsing leaves it as it
+    was, so in-process callers share one parser per config.
+    """
+    config = dict(config_items)
     parser = argparse.ArgumentParser(
         prog="cesnet",
         description="Multisector CES production-network toolkit",
@@ -204,34 +221,14 @@ def _load_economy(args):
     return econ.load_economy(args.economy, args.elasticities)
 
 
-def _load_labelled_vector(path, labels, what):
-    rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for idx, row in enumerate(csv.reader(fh)):
-            if not row or not any(c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise MalformedTable(f"{what} row {idx} needs 2 fields")
-            try:
-                rows[row[0].strip()] = float(row[1])
-            except ValueError:
-                if idx == 0:
-                    continue
-                raise MalformedTable(f"non-numeric {what} value in row {idx}")
-    missing = [lab for lab in labels if lab not in rows]
-    if missing:
-        raise MalformedTable(f"{what} missing for sectors: {missing}")
-    return np.array([rows[lab] for lab in labels])
-
-
 def _load_shocks(args, economy):
     if getattr(args, "shocks", None):
-        return _load_labelled_vector(args.shocks, economy.labels, "shock")
+        return econ.load_labelled_vector(args.shocks, economy.labels, "shock")
     return np.ones(economy.n)
 
 
 def _load_prefs(args, economy):
-    mu = _load_labelled_vector(args.prefs, economy.labels, "mu")
+    mu = econ.load_labelled_vector(args.prefs, economy.labels, "mu")
     return HouseholdPrefs(mu=mu, kappa=args.kappa)
 
 
@@ -250,16 +247,26 @@ def _load_column(path):
     return np.asarray(values)
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(v))
+def _write_csv(path, header, *columns):
+    """Write a CSV file: the header row, then one row per index of the columns.
 
-
-def _write_csv(path, header, rows):
+    A column is a float array, whose cells are written in shortest
+    round-trip form (the ``repr`` of the float, so a reader gets back the
+    same bits), or a list of labels, quoted as ``csv.writer`` quotes them.
+    The file is written in one pass, with ``csv.writer``'s CRLF line ends.
+    """
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
+             else map(_csv_cell, col) for col in columns]
+    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(map(_csv_cell, header)), *rows, ""]))
+
+
+def _csv_cell(text):
+    """A text cell with the minimal quoting of ``csv.writer``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_json(path, payload):
@@ -297,11 +304,7 @@ def _cmd_solve(args) -> int:
         )
         sys.stderr.write("\n")
         return 1
-    _write_csv(
-        out / "prices.csv",
-        ["label", "price"],
-        [[lab, _fmt(p)] for lab, p in zip(economy.labels, result.pi)],
-    )
+    _write_csv(out / "prices.csv", ["label", "price"], economy.labels, result.pi)
     return 0
 
 def _cmd_structure(args) -> int:
@@ -320,17 +323,9 @@ def _cmd_structure(args) -> int:
     )
     out = _outdir(args)
     header = ["input", *economy.labels]
-    _write_csv(
-        out / "b_matrix.csv", header,
-        [["PRIMARY", *map(_fmt, structure.b0)]]
-        + [[lab, *map(_fmt, structure.B[i])]
-           for i, lab in enumerate(economy.labels)],
-    )
-    _write_csv(
-        out / "s_matrix.csv", header[:1] + list(economy.labels),
-        [[lab, *map(_fmt, structure.S[i])]
-         for i, lab in enumerate(economy.labels)],
-    )
+    _write_csv(out / "b_matrix.csv", header, ["PRIMARY", *economy.labels],
+               *np.vstack([structure.b0, structure.B]).T)
+    _write_csv(out / "s_matrix.csv", header, economy.labels, *structure.S.T)
     _write_json(out / "structure.json", {
         "viable": structure.viable,
         "iterations": result.iterations,
@@ -373,22 +368,19 @@ def _cmd_simulate(args) -> int:
 def _write_summary_files(out, method, summary):
     tag = method.replace("-", "_")
     _write_json(out / f"summary_{tag}.json", summary.to_dict())
-    _write_csv(out / f"samples_{tag}.csv", ["ln_h"],
-               [[_fmt(v)] for v in summary.samples])
+    _write_csv(out / f"samples_{tag}.csv", ["ln_h"], summary.samples)
     # QQ points need at least 3 distinct draws; tiny runs still get a
     # valid summary and sample file.
     if summary.samples.size >= 3 and np.ptp(summary.samples) > 0:
         pairs = mc.qq_points(summary.samples)
-        _write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"],
-                   [[_fmt(a), _fmt(b)] for a, b in pairs])
+        _write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"], *pairs.T)
 
 
 def _cmd_qq(args) -> int:
     samples = _load_column(args.input)
     pairs = mc.qq_points(samples)
     out = _outdir(args)
-    _write_csv(out / "qq.csv", ["theoretical", "sample"],
-               [[_fmt(a), _fmt(b)] for a, b in pairs])
+    _write_csv(out / "qq.csv", ["theoretical", "sample"], *pairs.T)
     return 0
 
 
@@ -396,32 +388,26 @@ def _cmd_hp(args) -> int:
     series = _load_column(args.input)
     trend, cycle = mc.hp_filter(series, args.lam)
     out = _outdir(args)
-    _write_csv(out / "hp.csv", ["trend", "cycle"],
-               [[_fmt(t), _fmt(c)] for t, c in zip(trend, cycle)])
+    _write_csv(out / "hp.csv", ["trend", "cycle"], trend, cycle)
     return 0
 
 
 def _cmd_gbm(args) -> int:
     names, columns = _load_table_columns(args.input)
     rows = []
-    for name, series in zip(names, columns):
+    for series in columns:
         moments = gbm_mod.estimate_gbm_moments(series)
         dlm = gbm_mod.estimate_gbm_dlm(series)
         growth = np.diff(np.log(series))
-        w, p = gbm_mod.shapiro_wilk(growth)
-        rows.append([
-            name,
-            _fmt(moments.mu_hat), _fmt(moments.sigma_hat),
-            _fmt(dlm.mu_hat), _fmt(dlm.sigma_hat),
-            _fmt(w), _fmt(p),
-            "yes" if p >= 0.05 else "no",
-        ])
+        rows.append([moments.mu_hat, moments.sigma_hat, dlm.mu_hat,
+                     dlm.sigma_hat, *gbm_mod.shapiro_wilk(growth)])
+    stats = np.array(rows, dtype=float)
     out = _outdir(args)
     _write_csv(
         out / "gbm.csv",
         ["series", "mu_moments", "sigma_moments", "mu_dlm", "sigma_dlm",
          "sw_w", "sw_p", "normal_5pct"],
-        rows,
+        names, *stats.T, ["yes" if p >= 0.05 else "no" for p in stats[:, 5]],
     )
     return 0
 

@@ -125,7 +125,7 @@ class ElasticityEstimate:
 
 def within_transform(panel: PanelDataset) -> PanelDataset:
     """Demean y, x and every instrument by entity over included periods."""
-    demean, _ = _entity_demeaner(panel.entity)
+    demean = _entity_demeaner(panel.entity)[0]
     return replace(
         panel,
         y=demean(panel.y),
@@ -145,24 +145,33 @@ def _entity_demeaner(entity):
         means = np.bincount(inverse, weights=v) / counts
         return v - means[inverse]
 
-    return demean, codes.size
+    return demean, codes, inverse
 
 
 def _design(panel: PanelDataset, instrument_spec=()):
     """Entity-demeaned response y, price x, time dummies D = [D_2..D_T],
-    regressors X = [x, D] and instruments Z = [named instruments, D]."""
-    demean, n_entities = _entity_demeaner(panel.entity)
-    periods = panel.periods
+    regressors X = [x, D] and instruments Z = [named instruments, D].
+
+    Raises DuplicateObservation when an (entity, period) pair has two rows.
+    """
+    demean, entities, e = _entity_demeaner(panel.entity)
+    periods, t = np.unique(panel.period, return_inverse=True)
+    # Integer (entity, period) keys, sorted: a pair's rows are adjacent.
+    key = np.sort(e * periods.size + t)
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    if twin.size:
+        i, j = divmod(int(key[twin[0]]), periods.size)
+        raise _duplicate(entities[i], periods[j])
     if periods.size < 2:
         raise RankDeficient("need at least two periods for time dummies")
     D = np.column_stack(
-        [demean((panel.period == t).astype(float)) for t in periods[1:]]
+        [demean((t == k).astype(float)) for k in range(1, periods.size)]
     )
     y = demean(panel.y)
     x = demean(panel.x)
     X = np.column_stack([x, D])
     Z = np.column_stack([*(demean(panel.instruments[k]) for k in instrument_spec), D])
-    return y, x, X, D, Z, periods, n_entities
+    return y, x, X, D, Z, periods, entities.size
 
 
 def _check_rank(M, what):
@@ -387,11 +396,7 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     same = entity[1:] == entity[:-1]
     twin = np.flatnonzero(same & (period[1:] == period[:-1]))
     if twin.size:
-        k = twin[0]
-        raise DuplicateObservation(
-            f"entity {entity[k].item()!r} has more than one row "
-            f"for period {period[k].item()!r}"
-        )
+        raise _duplicate(entity[twin[0]], period[twin[0]])
     v = panel.instruments[name][order]
     lo, hi = v[:-1][same], v[1:][same]
     out = np.full(panel.nobs, np.nan)
@@ -409,6 +414,12 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
         y=panel.y,
         x=panel.x,
         instruments=instruments,
+    )
+
+
+def _duplicate(entity, period):
+    return DuplicateObservation(
+        f"entity {entity.item()!r} has more than one row for period {period.item()!r}"
     )
 
 

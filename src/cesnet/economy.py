@@ -151,18 +151,18 @@ def load_economy(io_table_path, elasticities_path) -> Economy:
 
     The IO table has header ``sector,<label_1>,...,<label_n>``, a first data
     row ``PRIMARY,a_01,...,a_0n`` and n further rows ``label_i,a_i1,...,a_in``.
-    The elasticities file has rows ``label_j,sigma_j`` (an optional header
-    row is skipped); sigma is converted to ``gamma = 1 - sigma``.
+    The elasticities file has rows ``label_j,sigma_j`` (read by
+    :func:`load_labelled_vector`); sigma is converted to
+    ``gamma = 1 - sigma``.
 
     Columns whose sums deviate from one by at most ``RENORM_TOLERANCE`` are
     renormalized; larger deviations raise :class:`ColumnSumViolation`.
     """
     labels, a0, A = _parse_io_table(io_table_path)
-    sigma_by_label = _parse_elasticities(elasticities_path)
-    missing = [lab for lab in labels if lab not in sigma_by_label]
-    if missing:
-        raise MalformedTable(f"elasticities missing for sectors: {missing}")
-    sigma = np.array([sigma_by_label[lab] for lab in labels])
+    try:
+        sigma = load_labelled_vector(elasticities_path, labels, "elasticities")
+    except OSError as exc:
+        raise MalformedTable(f"cannot read elasticities: {exc}") from exc
 
     colsums = a0 + A.sum(axis=0)
     deviation = np.abs(colsums - 1.0)
@@ -263,23 +263,30 @@ def _parse_row(row, n, label):
         raise MalformedTable(f"non-numeric value in row {label!r}: {exc}") from exc
 
 
-def _parse_elasticities(path):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise MalformedTable(f"cannot read elasticities: {exc}") from exc
-    out = {}
-    for idx, row in enumerate(rows):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise MalformedTable(f"elasticities row {idx} has {len(row)} fields")
-        label, value = row[0].strip(), row[1].strip()
-        try:
-            out[label] = float(value)
-        except ValueError:
-            if idx == 0:  # header row such as "sector,sigma"
+def load_labelled_vector(path, labels, what) -> np.ndarray:
+    """The values of a ``label,value`` CSV file, in the order of ``labels``.
+
+    Blank rows are skipped, and so is a non-numeric first row (a header such
+    as ``sector,sigma``); a later label overrides an earlier one.  A row
+    without exactly two fields, a non-numeric value or a label with no row
+    raises :class:`MalformedTable`, whose message starts with ``what``.
+    """
+    values = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for idx, row in enumerate(csv.reader(fh)):
+            if not "".join(row).strip():
                 continue
-            raise MalformedTable(f"non-numeric elasticity for {label!r}: {value!r}")
-    return out
+            if len(row) != 2:
+                raise MalformedTable(f"{what} row {idx} has {len(row)} fields")
+            try:
+                values[row[0].strip()] = float(row[1])
+            except ValueError:
+                if idx == 0:
+                    continue
+                raise MalformedTable(
+                    f"{what} row {idx} has a non-numeric value {row[1]!r}"
+                ) from None
+    missing = [lab for lab in labels if lab not in values]
+    if missing:
+        raise MalformedTable(f"{what} missing for sectors: {missing}")
+    return np.array([values[lab] for lab in labels])

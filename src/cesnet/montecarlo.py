@@ -147,9 +147,8 @@ def summarize_samples(samples, n_unviable=0, method="", seed=0) -> DistributionS
             centred = (samples - mean) / sd
             skewness = float(np.mean(centred**3))
             kurtosis = float(np.mean(centred**4) - 3.0)
-    quantiles = {
-        f"{q:g}": float(np.quantile(samples, q)) for q in QUANTILE_GRID
-    }
+    quantiles = dict(zip(map("{:g}".format, QUANTILE_GRID),
+                         np.quantile(samples, QUANTILE_GRID).tolist()))
     return DistributionSummary(
         mean=mean,
         variance=variance,

@@ -1,10 +1,13 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cesnet.cli import load_config, main
+from cesnet.cli import _write_csv, load_config, main
 from cesnet.household import HouseholdPrefs, real_gdp_growth
 from cesnet.montecarlo import hp_filter, qq_points
 
@@ -104,6 +107,37 @@ class TestUsageErrors:
         rc = main(["transmogrify"])
         capsys.readouterr()
         assert rc == 2
+
+
+    @pytest.mark.parametrize("argv", [["--config"], ["solve", "--config"]])
+    def test_config_without_value_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("bad", [
+        "panel", "economy", "elasticities", "prefs", "input",
+    ])
+    def test_latin1_byte_is_domain_error(self, tmp_path, capsys, bad):
+        io_path, el_path = write_economy(tmp_path)
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"\xe9,1\n")
+        if bad == "panel":
+            argv = ["estimate", "--panel", str(latin)]
+        elif bad == "input":
+            argv = ["qq", "--input", str(latin), "--outdir", str(tmp_path)]
+        else:
+            inputs = {"economy": io_path, "elasticities": el_path,
+                      "prefs": write_prefs(tmp_path),
+                      "shocks": write_shocks(tmp_path), bad: str(latin)}
+            argv = ["aggregate",
+                    *(a for k, v in inputs.items() for a in (f"--{k}", v))]
+        assert main(argv) == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "UnicodeDecodeError"
+        assert "0xe9" in err["message"]
 
 
 class TestNonFiniteSigma:
@@ -398,6 +432,22 @@ class TestEstimate:
             "error": "UnknownInstrument", "message": "unknown instrument 'qvoid'",
         }
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "ls"], ["--method", "iv", "--iv", "w"],
+    ])
+    def test_duplicate_rows_rejected_by_fit(self, tmp_path, capsys, flags):
+        path = self.write_panel(tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[20][2] = "0.25"  # entity e3, period 2, another share
+        with open(path, "a", newline="") as fh:
+            csv.writer(fh).writerow(rows[20])
+        assert main(["estimate", "--panel", path, *flags]) == 1
+        assert single_json_error(capsys) == {
+            "error": "DuplicateObservation",
+            "message": "entity 'e3' has more than one row for period 2",
+        }
+
     def test_duplicate_rows_rejected_by_transform(self, tmp_path, capsys):
         path = self.write_panel(tmp_path)
         with open(path, newline="") as fh:
@@ -444,6 +494,39 @@ class TestConfig:
         s2 = json.loads((out2 / "summary_cobb_douglas.json").read_text())
         assert s2["seed"] == 9
         assert s1["mean"] != s2["mean"]
+
+    @pytest.mark.parametrize("form", ["--config FILE", "--config=FILE"])
+    def test_both_config_forms_load_the_file(self, tmp_path, capsys, form):
+        io_path, el_path = write_economy(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"economy = {io_path}\nelasticities = {el_path}\n"
+                       f"prefs = {write_prefs(tmp_path)}\ncount = 0\n")
+        flag = form.replace("FILE", str(cfg)).split(" ")
+        rc = main([*flag, "simulate", "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "argument --count: must be a positive integer: '0'" in (
+            capsys.readouterr().err)
+
+    def test_each_config_gets_its_own_defaults(self, tmp_path):
+        io_path, el_path = write_economy(tmp_path)
+        configs = []
+        for seed in (5, 6):
+            cfg = tmp_path / f"seed{seed}.cfg"
+            cfg.write_text(
+                f"economy = {io_path}\nelasticities = {el_path}\n"
+                f"prefs = {write_prefs(tmp_path)}\ncount = 4\nseed = {seed}\n"
+                "method = cobb-douglas\n"
+            )
+            configs.append(str(cfg))
+        seeds = []
+        for i, cfg in enumerate([*configs, *configs]):
+            out = tmp_path / f"out{i}"
+            assert main(["--config", cfg, "simulate", "--outdir", str(out)]) == 0
+            summary = json.loads((out / "summary_cobb_douglas.json").read_text())
+            seeds.append(summary["seed"])
+        assert seeds == [5, 6, 5, 6]
+        # Without a config the flags are required again.
+        assert main(["simulate", "--outdir", str(tmp_path / "none")]) == 2
 
     def test_load_config_parses_flat_file(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -512,3 +595,43 @@ class TestExperimentEdgeCases:
         assert cd["n_viable"] == 1 and cd["skewness"] == 0.0
         assert (out / "samples_cobb_douglas.csv").exists()
         assert not (out / "qq_cobb_douglas.csv").exists()
+
+
+# Finite floats, with the corner cases of shortest round-trip formatting.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 1e15, 123456789012345678.0])
+LABELS = st.text(st.sampled_from('ab ,"\r\n\'x\u00e9'), max_size=6)
+
+
+class TestCsvWriter:
+    """``_write_csv`` against ``csv.writer`` fed ``repr(float(v))`` cells."""
+
+    @staticmethod
+    def reference(header, labels, values):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for i, row in enumerate(values):
+            lead = [] if labels is None else [labels[i]]
+            writer.writerow([*lead, *(repr(float(v)) for v in row)])
+        return buf.getvalue().encode("utf-8")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), rows=st.integers(0, 6), cols=st.integers(1, 3),
+           labelled=st.booleans())
+    def test_bytes_equal_csv_writer_reference(self, tmp_path, data, rows,
+                                              cols, labelled):
+        values = np.array(
+            data.draw(st.lists(st.lists(FLOATS, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)),
+            dtype=float,
+        ).reshape(rows, cols)
+        labels = (data.draw(st.lists(LABELS, min_size=rows, max_size=rows))
+                  if labelled else None)
+        header = data.draw(st.lists(LABELS.filter(bool), min_size=1,
+                                    max_size=cols + labelled))
+        path = tmp_path / "out.csv"
+        columns = ([] if labels is None else [labels]) + list(values.T)
+        _write_csv(path, header, *columns)
+        assert path.read_bytes() == self.reference(header, labels, values)

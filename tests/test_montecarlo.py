@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from cesnet.errors import DegenerateSample, SeriesTooShort, TooFewSamples
 from cesnet.household import COBB_DOUGLAS, GENERAL_CES, LEONTIEF, HouseholdPrefs
 from cesnet.montecarlo import (
+    QUANTILE_GRID,
     ShockConfig,
     hp_filter,
     price_index_dispersion,
     qq_points,
     sample_shocks,
+    shock_matrix,
     shock_sample,
     simulate_distribution,
     summarize_samples,
@@ -31,6 +36,17 @@ class TestShockStream:
         stream = list(sample_shocks(2, cfg))
         for k, z in enumerate(stream):
             np.testing.assert_array_equal(z, shock_sample(2, cfg, k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), count=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(1e-3, 2.0), mean=st.floats(-1.0, 1.0))
+    def test_matrix_rows_equal_indexed_draws(self, n, count, seed, sigma, mean):
+        cfg = ShockConfig(count=count, sigma=sigma, seed=seed, mean=mean)
+        Z = shock_matrix(n, cfg)
+        assert Z.shape == (count, n)
+        for k in range(count):
+            assert Z[k].tobytes() == shock_sample(n, cfg, k).tobytes()
 
     def test_log_moments(self):
         cfg = ShockConfig(count=4000, sigma=0.3, seed=1, mean=0.1)
@@ -92,6 +108,17 @@ class TestSummary:
         assert s.variance == pytest.approx(np.var(x, ddof=1))
         assert s.skewness == pytest.approx(0.0, abs=1e-14)
         assert s.quantiles["0.5"] == pytest.approx(2.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 400),
+                  elements=st.floats(-1e6, 1e6, allow_subnormal=True)))
+    def test_quantiles_equal_one_call_per_level(self, x):
+        quantiles = summarize_samples(x).quantiles
+        expected = [np.quantile(x, q) for q in QUANTILE_GRID]
+        assert list(quantiles) == [f"{q:g}" for q in QUANTILE_GRID]
+        for got, want in zip(quantiles.values(), expected):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
 
     def test_normal_sample_near_zero_shape(self):
         x = np.random.default_rng(11).standard_normal(20000)
