@@ -13,7 +13,6 @@ standard error), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -28,7 +27,7 @@ from . import equilibrium as eq
 from . import gbm as gbm_mod
 from . import montecarlo as mc
 from . import structure as struct_mod
-from .errors import CesnetError, MalformedTable
+from .errors import CesnetError, MalformedTable, NotConverged
 from .household import METHODS, HouseholdPrefs, Unviable, real_gdp_growth
 
 DEFAULT_SEED = 20110101
@@ -125,12 +124,19 @@ def _build_parser(config_items):
         opt(p, "--kappa", type=_finite_float, default=0.0,
             help="household utility curvature (default 0, Cobb-Douglas)")
 
+    def sampling_opts(p):
+        opt(p, "--count", type=_positive_int, default=10000)
+        opt(p, "--sigma", type=_positive_float, default=0.2)
+        opt(p, "--seed", type=int, default=DEFAULT_SEED)
+        opt(p, "--workers", type=_positive_int, default=1)
+        opt(p, "--outdir", default=".")
+
     p = add("solve", _cmd_solve, "solve equilibrium prices for a shock")
     economy_opts(p)
     opt(p, "--shocks", help="shock CSV (label,z); defaults to the benchmark")
     opt(p, "--pi0", type=float, default=1.0)
-    opt(p, "--tol", type=float, default=1e-10)
-    opt(p, "--max-iter", type=int, default=10000)
+    opt(p, "--tol", type=_positive_float, default=1e-10)
+    opt(p, "--max-iter", type=_positive_int, default=10000)
     opt(p, "--outdir", default=".")
 
     p = add("structure", _cmd_structure, "equilibrium structure and viability")
@@ -149,11 +155,7 @@ def _build_parser(config_items):
     economy_opts(p)
     prefs_opts(p)
     opt(p, "--method", choices=METHODS, default="general-ces")
-    opt(p, "--count", type=_positive_int, default=10000)
-    opt(p, "--sigma", type=_positive_float, default=0.2)
-    opt(p, "--seed", type=int, default=DEFAULT_SEED)
-    opt(p, "--workers", type=_positive_int, default=1)
-    opt(p, "--outdir", default=".")
+    sampling_opts(p)
 
     p = add("qq", _cmd_qq, "normal QQ points of a sample CSV")
     opt(p, "--input", required="input" not in config,
@@ -163,7 +165,7 @@ def _build_parser(config_items):
     p = add("hp", _cmd_hp, "Hodrick-Prescott trend/cycle split")
     opt(p, "--input", required="input" not in config,
         help="one-column CSV series")
-    opt(p, "--lam", type=float, default=1600.0)
+    opt(p, "--lam", type=_positive_float, default=1600.0)
     opt(p, "--outdir", default=".")
 
     p = add("gbm", _cmd_gbm, "GBM drift/volatility and normality per column")
@@ -185,11 +187,7 @@ def _build_parser(config_items):
             "paired-sample comparison of the three aggregators")
     economy_opts(p)
     prefs_opts(p)
-    opt(p, "--count", type=_positive_int, default=10000)
-    opt(p, "--sigma", type=_positive_float, default=0.2)
-    opt(p, "--seed", type=int, default=DEFAULT_SEED)
-    opt(p, "--workers", type=_positive_int, default=1)
-    opt(p, "--outdir", default=".")
+    sampling_opts(p)
 
     return parser
 
@@ -217,10 +215,6 @@ def _positive_int(text):
 
 # --- shared IO helpers ------------------------------------------------------
 
-def _load_economy(args):
-    return econ.load_economy(args.economy, args.elasticities)
-
-
 def _load_shocks(args, economy):
     if getattr(args, "shocks", None):
         return econ.load_labelled_vector(args.shocks, economy.labels, "shock")
@@ -234,16 +228,15 @@ def _load_prefs(args, economy):
 
 def _load_column(path):
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for idx, row in enumerate(csv.reader(fh)):
-            if not row or not row[0].strip():
+    for idx, row in enumerate(econ.read_csv_rows(path)):
+        if not row or not row[0].strip():
+            continue
+        try:
+            values.append(float(row[0]))
+        except ValueError:
+            if idx == 0:
                 continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                if idx == 0:
-                    continue
-                raise MalformedTable(f"non-numeric value in row {idx}")
+            raise MalformedTable(f"non-numeric value in row {idx}")
     return np.asarray(values)
 
 
@@ -284,40 +277,28 @@ def _outdir(args) -> Path:
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    economy = _load_economy(args)
+    economy = econ.load_economy(args.economy, args.elasticities)
     z = _load_shocks(args, economy)
     result = eq.solve_fixed_point(
         economy, z, pi0=args.pi0, tol=args.tol, max_iter=args.max_iter
     )
     out = _outdir(args)
-    meta = {
-        "status": result.status,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "tol": args.tol,
-    }
-    _write_json(out / "solve_meta.json", meta)
+    _write_json(out / "solve_meta.json", {
+        "status": result.status, "iterations": result.iterations,
+        "residual": result.residual, "tol": args.tol,
+    })
     if not result.converged:
-        json.dump(
-            {"error": "NotConverged", "message": f"status {result.status}"},
-            sys.stderr, sort_keys=True,
-        )
-        sys.stderr.write("\n")
-        return 1
+        raise NotConverged(f"status {result.status}")
     _write_csv(out / "prices.csv", ["label", "price"], economy.labels, result.pi)
     return 0
 
+
 def _cmd_structure(args) -> int:
-    economy = _load_economy(args)
+    economy = econ.load_economy(args.economy, args.elasticities)
     z = _load_shocks(args, economy)
     result = eq.solve_fixed_point(economy, z, pi0=args.pi0)
     if not result.converged:
-        json.dump(
-            {"error": "NotConverged", "message": f"status {result.status}"},
-            sys.stderr, sort_keys=True,
-        )
-        sys.stderr.write("\n")
-        return 1
+        raise NotConverged(f"status {result.status}")
     structure = struct_mod.equilibrium_structure(
         economy, result.pi, args.pi0, z
     )
@@ -327,41 +308,31 @@ def _cmd_structure(args) -> int:
                *np.vstack([structure.b0, structure.B]).T)
     _write_csv(out / "s_matrix.csv", header, economy.labels, *structure.S.T)
     _write_json(out / "structure.json", {
-        "viable": structure.viable,
-        "iterations": result.iterations,
+        "viable": structure.viable, "iterations": result.iterations,
         "residual": result.residual,
     })
     return 0
 
 
 def _cmd_aggregate(args) -> int:
-    economy = _load_economy(args)
+    economy = econ.load_economy(args.economy, args.elasticities)
     prefs = _load_prefs(args, economy)
     z = _load_shocks(args, economy)
     growth = real_gdp_growth(economy, prefs, z, method=args.method)
     if isinstance(growth, Unviable):
-        json.dump(
-            {"error": "Unviable", "message":
-             f"no positive equilibrium under method {growth.method!r}"},
-            sys.stderr, sort_keys=True,
-        )
-        sys.stderr.write("\n")
-        return 1
-    json.dump({"ln_h": growth, "method": args.method}, sys.stdout,
-              sort_keys=True)
-    sys.stdout.write("\n")
+        raise growth
+    print(json.dumps({"ln_h": growth, "method": args.method}, sort_keys=True))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    economy = _load_economy(args)
+    economy = econ.load_economy(args.economy, args.elasticities)
     prefs = _load_prefs(args, economy)
     config = mc.ShockConfig(count=args.count, sigma=args.sigma, seed=args.seed)
     summary = mc.simulate_distribution(
         economy, prefs, config, method=args.method, workers=args.workers
     )
-    out = _outdir(args)
-    _write_summary_files(out, args.method, summary)
+    _write_summary_files(_outdir(args), args.method, summary)
     return 0
 
 
@@ -414,8 +385,7 @@ def _cmd_gbm(args) -> int:
 
 def _read_rows(path):
     """The rows of a CSV file that hold a non-blank cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [r for r in csv.reader(fh) if "".join(r).strip()]
+    return [r for r in econ.read_csv_rows(path) if "".join(r).strip()]
 
 
 def _load_table_columns(path):
@@ -449,8 +419,7 @@ def _cmd_estimate(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     else:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 
@@ -532,7 +501,7 @@ def _panel_column(cells, convert, what):
 
 
 def _cmd_experiment(args) -> int:
-    economy = _load_economy(args)
+    economy = econ.load_economy(args.economy, args.elasticities)
     prefs = _load_prefs(args, economy)
     config = mc.ShockConfig(count=args.count, sigma=args.sigma, seed=args.seed)
     out = _outdir(args)

@@ -217,10 +217,25 @@ def cost_shares(economy: Economy, pi, pi0: float = 1.0, z=None) -> np.ndarray:
     return economy.augmented_coefficients() * ratio ** (-economy.gamma[None, :])
 
 
-def _parse_io_table(path):
+def read_csv_rows(path) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file, blank rows included.
+
+    A byte that is not UTF-8 raises UnicodeDecodeError with the file's path
+    in its message.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise MalformedTable(f"{path}: {exc}") from exc
+
+
+def _parse_io_table(path):
+    try:
+        rows = read_csv_rows(path)
     except OSError as exc:
         raise MalformedTable(f"cannot read IO table: {exc}") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
@@ -272,20 +287,19 @@ def load_labelled_vector(path, labels, what) -> np.ndarray:
     raises :class:`MalformedTable`, whose message starts with ``what``.
     """
     values = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for idx, row in enumerate(csv.reader(fh)):
-            if not "".join(row).strip():
+    for idx, row in enumerate(read_csv_rows(path)):
+        if not "".join(row).strip():
+            continue
+        if len(row) != 2:
+            raise MalformedTable(f"{what} row {idx} has {len(row)} fields")
+        try:
+            values[row[0].strip()] = float(row[1])
+        except ValueError:
+            if idx == 0:
                 continue
-            if len(row) != 2:
-                raise MalformedTable(f"{what} row {idx} has {len(row)} fields")
-            try:
-                values[row[0].strip()] = float(row[1])
-            except ValueError:
-                if idx == 0:
-                    continue
-                raise MalformedTable(
-                    f"{what} row {idx} has a non-numeric value {row[1]!r}"
-                ) from None
+            raise MalformedTable(
+                f"{what} row {idx} has a non-numeric value {row[1]!r}"
+            ) from None
     missing = [lab for lab in labels if lab not in values]
     if missing:
         raise MalformedTable(f"{what} missing for sectors: {missing}")

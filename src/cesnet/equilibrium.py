@@ -5,13 +5,13 @@ the sector CES unit cost functions.  The recursion is a contraction on the
 positive orthant whenever a positive fixed point exists, so iterating from
 the benchmark converges globally; nonexistence shows up as divergence.
 
-Closed forms exist for uniform elasticity (any gamma != 0), the Leontief
-economy (gamma = 1, a single linear solve) and the Cobb-Douglas economy
-(gamma = 0, a linear solve in logs).
+Closed forms exist for uniform elasticity (any gamma != 0, a linear solve
+for pi^gamma), whose gamma = 1 case is the Leontief economy, and for the
+Cobb-Douglas economy (gamma = 0, a linear solve in logs).
 
-The recursive solver and the Leontief and Cobb-Douglas closed forms work on
-a (K, n) matrix of shock rows (the ``*_batch`` functions); the single-shock
-functions are their K = 1 case and return bit for bit the same row.
+The recursive solver and the closed forms work on a (K, n) matrix of shock
+rows (the ``*_batch`` functions); the single-shock functions are their
+K = 1 case and return bit for bit the same row.
 """
 
 from __future__ import annotations
@@ -251,62 +251,63 @@ def solve_fixed_point_batch(
 def solve_uniform_ces(economy: Economy, z, gamma: float, pi0: float = 1.0) -> np.ndarray:
     """Closed-form prices for a uniform-elasticity economy (gamma != 0).
 
-    Solves ``q (diag(z)^gamma - A) = a0 * pi0^gamma`` for q = pi^gamma and
-    takes the 1/gamma power.  Raises NoPositiveSolution if q is not strictly
-    positive (the equilibrium does not exist in the positive orthant) and
-    SingularSystem if the bracketed matrix is not invertible.
+    Raises NoPositiveSolution if the equilibrium does not exist in the
+    positive orthant and SingularSystem if ``diag(z)^gamma - A`` is not
+    invertible.
+    """
+    z = check_shock(z, economy.n)
+    result = solve_uniform_ces_batch(economy, z[None, :], gamma, pi0)
+    return _single_row(result, "uniform-CES linear solve")
+
+
+def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0):
+    """Uniform-elasticity prices for every row of a (K, n) shock matrix.
+
+    One stacked solve of ``q (diag(z)^gamma - A) = a0 * pi0^gamma`` for
+    q = pi^gamma, then the 1/gamma power.  Returns ``(pi, viable, singular)``:
+    the prices, the rows with a positive q and the rows whose matrix is
+    singular; prices of rows that are not viable are meaningless.
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use solve_cobb_douglas")
-    z = check_shock(z, economy.n)
-    if pi0 <= 0:
-        raise NoPositiveSolution("numeraire must be positive")
-    M = np.diag(z**gamma) - economy.A
-    try:
-        q = np.linalg.solve(M.T, economy.a0 * pi0**gamma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(q)) or np.any(q <= 0):
-        raise NoPositiveSolution(
-            "uniform-CES linear solve left the positive orthant"
-        )
-    return q ** (1.0 / gamma)
-
-
-def solve_leontief(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
-    """Closed-form Leontief prices: one linear solve, no powers.
-
-    ``pi (diag(z) - A) = pi0 a0``.  Raises NoPositiveSolution when the
-    Hawkins-Simon condition fails for ``diag(z) - A``.
-    """
-    z = check_shock(z, economy.n)
-    pi, viable, singular = solve_leontief_batch(economy, z[None, :], pi0)
-    if singular[0]:
-        raise SingularSystem("Singular matrix")
-    if not viable[0]:
-        raise NoPositiveSolution("Leontief prices left the positive orthant")
-    return pi[0]
-
-
-def solve_leontief_batch(economy: Economy, Z, pi0: float = 1.0):
-    """Leontief prices for every row of a (K, n) shock matrix.
-
-    One stacked linear solve.  Returns ``(pi, viable, singular)``: the (K, n)
-    prices and two masks, the rows with strictly positive prices and the rows
-    whose ``diag(z) - A`` is singular.  Prices of rows that are not viable
-    are meaningless.  Row k equals ``solve_leontief(economy, Z[k])`` bit for
-    bit.
-    """
     Z = check_shock_matrix(Z, economy.n)
     if pi0 <= 0:
         raise NoPositiveSolution("numeraire must be positive")
     K, n = Z.shape
-    M = np.multiply(Z[:, :, None], np.eye(n))
+    M = np.multiply((Z**gamma)[:, :, None], np.eye(n))
     M -= economy.A
-    rhs = np.broadcast_to(pi0 * economy.a0, (K, n))
-    pi, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
-    viable = solved & np.all(np.isfinite(pi) & (pi > 0), axis=1)
-    return pi, viable, ~solved
+    rhs = np.broadcast_to(economy.a0 * pi0**gamma, (K, n))
+    q, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
+    viable = solved & np.all(np.isfinite(q) & (q > 0), axis=1)
+    with np.errstate(invalid="ignore"):  # rows that are not viable
+        return q ** (1.0 / gamma), viable, ~solved
+
+
+def solve_leontief(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
+    """Closed-form Leontief prices: ``pi (diag(z) - A) = pi0 a0``.
+
+    Raises NoPositiveSolution when the Hawkins-Simon condition fails for
+    ``diag(z) - A``.
+    """
+    z = check_shock(z, economy.n)
+    result = solve_leontief_batch(economy, z[None, :], pi0)
+    return _single_row(result, "Leontief prices")
+
+
+def solve_leontief_batch(economy: Economy, Z, pi0: float = 1.0):
+    """Leontief prices for every row of a (K, n) shock matrix: the gamma = 1
+    case of :func:`solve_uniform_ces_batch`, with the same result."""
+    return solve_uniform_ces_batch(economy, Z, 1.0, pi0)
+
+
+def _single_row(result, what):
+    """The prices of a one-row closed-form result, or its error."""
+    pi, viable, singular = result
+    if singular[0]:
+        raise SingularSystem("Singular matrix")
+    if not viable[0]:
+        raise NoPositiveSolution(f"{what} left the positive orthant")
+    return pi[0]
 
 
 def _solve_rows(M, rhs):
@@ -316,18 +317,26 @@ def _solve_rows(M, rhs):
     solved one by one so that only the singular ones fail.
     """
     try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0], np.ones(len(rhs), bool)
-    except np.linalg.LinAlgError:
+        return _solve(M, rhs[..., None])[..., 0], np.ones(len(rhs), bool)
+    except SingularSystem:
         pass
     x = np.zeros(rhs.shape)
     solved = np.zeros(len(rhs), bool)
     for k in range(len(rhs)):
         try:
-            x[k] = np.linalg.solve(M[k : k + 1], rhs[k : k + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
+            x[k] = _solve(M[k : k + 1], rhs[k : k + 1, :, None])[0, :, 0]
+        except SingularSystem:
             continue
         solved[k] = True
     return x, solved
+
+
+def _solve(M, rhs):
+    """``np.linalg.solve(M, rhs)``, raising SingularSystem for a singular M."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
 
 
 def solve_cobb_douglas(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
@@ -352,7 +361,4 @@ def solve_cobb_douglas_batch(economy: Economy, Z, pi0: float = 1.0) -> np.ndarra
         raise NoPositiveSolution("numeraire must be positive")
     M = np.eye(economy.n) - economy.A
     rhs = economy.a0 * np.log(pi0) - np.log(Z)
-    try:
-        return np.linalg.solve(M.T, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    return _solve(M.T, rhs[..., None])[..., 0]

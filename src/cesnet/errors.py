@@ -23,6 +23,10 @@ class ColumnSumViolation(CesnetError):
     """A column of the IO table deviates from the adding-up constraint."""
 
 
+class InvalidPreferences(CesnetError, ValueError):
+    """Household expenditure shares or curvature are not valid."""
+
+
 # --- equilibrium ------------------------------------------------------------
 
 class NonPositivePrice(CesnetError):
@@ -39,6 +43,10 @@ class SingularSystem(CesnetError):
 
 class NotAnEquilibrium(CesnetError):
     """Structure formulas were evaluated at a non-equilibrium price vector."""
+
+
+class NotConverged(CesnetError):
+    """The recursive solver diverged or ran out of iterations."""
 
 
 # --- simulation and series utilities ----------------------------------------

@@ -19,11 +19,17 @@ import numpy as np
 
 from .economy import Economy, check_shock, check_shock_matrix, valid_shock_rows
 from .equilibrium import (
+    _solve,
     solve_cobb_douglas_batch,
     solve_fixed_point_batch,
     solve_leontief_batch,
 )
-from .errors import NoPositiveSolution, NonPositivePrice, SingularSystem
+from .errors import (
+    CesnetError,
+    InvalidPreferences,
+    NoPositiveSolution,
+    NonPositivePrice,
+)
 
 #: Below this |kappa| the price index uses the Cobb-Douglas log-limit.
 KAPPA_SWITCH = 1e-8
@@ -44,15 +50,17 @@ class HouseholdPrefs:
     def __post_init__(self):
         mu = np.ascontiguousarray(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1 or mu.size == 0:
-            raise ValueError("mu must be a nonempty vector")
+            raise InvalidPreferences("mu must be a nonempty vector")
         if not np.all(np.isfinite(mu)):
-            raise ValueError("expenditure shares must be finite")
+            raise InvalidPreferences("expenditure shares must be finite")
         if np.any(mu < 0):
-            raise ValueError("expenditure shares must be nonnegative")
+            raise InvalidPreferences("expenditure shares must be nonnegative")
         if abs(mu.sum() - 1.0) > 1e-9:
-            raise ValueError(f"expenditure shares sum to {mu.sum()!r}, expected 1")
+            raise InvalidPreferences(
+                f"expenditure shares sum to {float(mu.sum())!r}, expected 1"
+            )
         if not np.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
+            raise InvalidPreferences("kappa must be finite")
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", float(self.kappa))
@@ -63,15 +71,18 @@ class HouseholdPrefs:
 
 
 @dataclass(frozen=True)
-class Unviable:
+class Unviable(CesnetError):
     """Value-level outcome: the equilibrium left the positive orthant.
 
-    Carried instead of raising so Monte Carlo runs can count and skip such
-    samples.
+    Returned, not raised, by ``real_gdp_growth`` so that callers can count
+    and skip such samples; a caller that cannot go on raises it.
     """
 
     method: str
     z: np.ndarray
+
+    def __str__(self):
+        return f"no positive equilibrium under method {self.method!r}"
 
 
 def log_price_index(pi, prefs: HouseholdPrefs) -> float:
@@ -204,9 +215,4 @@ def domar_weights(economy: Economy, m) -> np.ndarray:
         raise ValueError(f"m has shape {m.shape}, expected ({economy.n},)")
     if abs(m.sum() - 1.0) > 1e-9:
         raise ValueError("final-demand shares m must sum to 1")
-    M = np.eye(economy.n) - economy.A
-    try:
-        Lm = np.linalg.solve(M, m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return Lm - m
+    return _solve(np.eye(economy.n) - economy.A, m) - m

@@ -16,11 +16,11 @@ from scipy.linalg import solveh_banded
 from scipy.stats import norm
 
 from .economy import Economy
+from .equilibrium import _solve
 from .errors import (
     AllSamplesUnviable,
     DegenerateSample,
     SeriesTooShort,
-    SingularSystem,
     TooFewSamples,
 )
 from .household import GENERAL_CES, HouseholdPrefs, real_gdp_growth_batch
@@ -172,11 +172,7 @@ def price_index_dispersion(economy: Economy, m, shocks) -> tuple[np.ndarray, np.
     variance dilation caused by the granularity of the Leontief inverse.
     """
     m = np.asarray(m, dtype=float)
-    M = np.eye(economy.n) - economy.A
-    try:
-        Lm = np.linalg.solve(M, m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    Lm = _solve(np.eye(economy.n) - economy.A, m)
     logz = np.log(np.asarray(list(shocks), dtype=float))
     return -logz @ Lm, -logz @ m
 

@@ -2,7 +2,8 @@
 
 Every row of a batched solve must equal, bit for bit, the single-shock call
 on that row: prices, iteration count, residual and status for the recursive
-solver, prices and viability for the closed forms, ln H for the household
+solver, prices and viability for the closed forms (uniform CES at a drawn
+gamma, whose gamma = 1 case is Leontief), ln H for the household
 aggregation.  Monte Carlo summaries must not depend on how the draws are cut
 into blocks.
 """
@@ -28,6 +29,8 @@ from cesnet.equilibrium import (
     solve_fixed_point_batch,
     solve_leontief,
     solve_leontief_batch,
+    solve_uniform_ces,
+    solve_uniform_ces_batch,
 )
 from cesnet.errors import NonPositiveValue, NoPositiveSolution, SingularSystem
 from cesnet.household import (
@@ -110,7 +113,11 @@ def test_fixed_point_rows_equal_single_solves(data, max_iter):
 def test_closed_form_rows_equal_single_solves(data):
     e = data.draw(economies())
     Z = data.draw(shock_matrices(e.n))
+    gamma = data.draw(
+        st.just(1.0) | st.floats(-1.5, 1.5).filter(lambda g: abs(g) >= 0.05)
+    )
     pi, viable, singular = solve_leontief_batch(e, Z)
+    pi_u, viable_u, singular_u = solve_uniform_ces_batch(e, Z, gamma)
     log_cd = solve_cobb_douglas_batch(e, Z)
     for k, z in enumerate(Z):
         try:
@@ -123,6 +130,17 @@ def test_closed_form_rows_equal_single_solves(data):
             assert viable[k]
             np.testing.assert_array_equal(pi[k], one)
             np.testing.assert_array_equal(pi[k], reference_leontief(e, z))
+        try:
+            one = solve_uniform_ces(e, z, gamma)
+        except SingularSystem:
+            assert singular_u[k] and not viable_u[k]
+        except NoPositiveSolution:
+            assert not viable_u[k] and not singular_u[k]
+        else:
+            assert viable_u[k]
+            np.testing.assert_array_equal(pi_u[k], one)
+            if gamma == 1.0:
+                np.testing.assert_array_equal(pi_u[k], reference_leontief(e, z))
         np.testing.assert_array_equal(log_cd[k], solve_cobb_douglas(e, z))
         np.testing.assert_array_equal(log_cd[k], reference_cobb_douglas(e, z))
 

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cesnet.cli import _write_csv, load_config, main
@@ -73,8 +73,12 @@ class TestSolve:
             "--shocks", z_path, "--outdir", str(tmp_path / "out"),
         ])
         assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "NotConverged"
+        assert capsys.readouterr().err == (
+            '{"error": "NotConverged", "message": "status diverged"}\n'
+        )
+        meta = json.loads((tmp_path / "out" / "solve_meta.json").read_text())
+        assert meta["status"] == "diverged"
+        assert not (tmp_path / "out" / "prices.csv").exists()
 
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         io_path, el_path = write_economy(tmp_path)
@@ -138,6 +142,7 @@ class TestNonUtf8Input:
         err = single_json_error(capsys)
         assert err["error"] == "UnicodeDecodeError"
         assert "0xe9" in err["message"]
+        assert str(latin) in err["message"]
 
 
 class TestNonFiniteSigma:
@@ -237,6 +242,19 @@ class TestStructure:
         meta = json.loads((out / "structure.json").read_text())
         assert meta["viable"] is True
 
+    def test_divergence_reports_json_error(self, tmp_path, capsys):
+        io_path, el_path = write_economy(tmp_path)
+        z_path = write_shocks(tmp_path, steel=0.01, corn=0.01)
+        rc = main([
+            "structure", "--economy", io_path, "--elasticities", el_path,
+            "--shocks", z_path, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            '{"error": "NotConverged", "message": "status diverged"}\n'
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestAggregate:
     def test_matches_library_value(self, tmp_path, capsys):
@@ -266,7 +284,24 @@ class TestAggregate:
             "--prefs", mu_path, "--shocks", z_path, "--method", "leontief",
         ])
         assert rc == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "Unviable"
+        assert capsys.readouterr().err == (
+            '{"error": "Unviable", "message": '
+            '"no positive equilibrium under method \'leontief\'"}\n'
+        )
+
+
+    @pytest.mark.parametrize("mu", [("nan", "0.6"), ("-0.4", "1.4"),
+                                    ("0.4", "0.4")])
+    def test_invalid_prefs_is_domain_error(self, tmp_path, capsys, mu):
+        io_path, el_path = write_economy(tmp_path)
+        mu_path = tmp_path / "mu.csv"
+        mu_path.write_text(f"steel,{mu[0]}\ncorn,{mu[1]}\n")
+        rc = main([
+            "aggregate", "--economy", io_path, "--elasticities", el_path,
+            "--prefs", str(mu_path), "--shocks", write_shocks(tmp_path),
+        ])
+        assert rc == 1
+        assert single_json_error(capsys)["error"] == "InvalidPreferences"
 
 
 class TestSimulate:
@@ -635,3 +670,153 @@ class TestCsvWriter:
         columns = ([] if labels is None else [labels]) + list(values.T)
         _write_csv(path, header, *columns)
         assert path.read_bytes() == self.reference(header, labels, values)
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+#: Cell text that no numeric column accepts and that keeps the row's shape.
+NON_NUMERIC = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+    min_size=1, max_size=8,
+).filter(lambda s: s.strip() and not _is_float(s))
+
+
+class TestCliFuzz:
+    """Malformed inputs and bad flags: exit 1 with one JSON line, or exit 2.
+
+    Every input file of a subcommand starts out valid (the subcommand exits
+    0 on it, see ``test_valid_inputs_succeed``); a drawn case then breaks
+    one file or one flag.  A traceback would escape ``main`` and fail the
+    test.
+    """
+
+    #: Rows of each valid input file, keyed by its flag.
+    FILES = {
+        "economy": [["sector", "steel", "corn"], ["PRIMARY", "0.5", "0.5"],
+                    ["steel", "0.2", "0.3"], ["corn", "0.3", "0.2"]],
+        "elasticities": [["steel", "1.5"], ["corn", "0.5"]],
+        "prefs": [["steel", "0.4"], ["corn", "0.6"]],
+        "shocks": [["steel", "1.1"], ["corn", "0.9"]],
+        "input": [["x"], ["1.0"], ["2.5"], ["0.5"], ["4.0"], ["3.0"]],
+        "panel": [["entity", "period", "share", "price", "inst_w"]] + [
+            [e, str(t), repr(0.1 + 0.05 * i + 0.02 * t * t),
+             repr(1.0 + 0.1 * i * t + 0.03 * t), repr(0.5 * i - 0.2 * t * t)]
+            for i, e in enumerate("abcd") for t in range(1, 4)
+        ],
+    }
+    #: Per input file: the first row and first column that hold numbers
+    #: (a non-numeric first row of a column file reads as its header).
+    NUMERIC_FROM = {"economy": (1, 1), "elasticities": (0, 1), "prefs": (0, 1),
+                    "shocks": (0, 1), "input": (1, 0), "panel": (1, 1)}
+    #: Per subcommand: its input files and its flags with values it rejects.
+    COMMANDS = {
+        "solve": (("economy", "elasticities", "shocks"), {
+            "--tol": ["0", "-1", "nan", "abc"],
+            "--max-iter": ["0", "-2", "1.5", "abc"],
+            "--pi0": ["0", "-1", "nan", "abc"],
+        }),
+        "aggregate": (("economy", "elasticities", "prefs", "shocks"), {
+            "--method": ["bogus"], "--kappa": ["nan", "inf", "abc"],
+        }),
+        "qq": (("input",), {"--outdir": []}),
+        "hp": (("input",), {"--lam": ["0", "-1", "nan", "abc"]}),
+        "estimate": (("panel",), {
+            "--method": ["bogus"], "--parameter": ["bogus"],
+            "--iv": ["zz", "l"],
+        }),
+        "experiment": (("economy", "elasticities", "prefs"), {
+            "--count": ["0", "-3", "1.5", "abc"],
+            "--sigma": ["0", "-1", "nan"], "--workers": ["0", "abc"],
+            "--seed": ["abc"], "--kappa": ["nan"],
+        }),
+    }
+
+    def argv(self, work, subcommand):
+        files, _ = self.COMMANDS[subcommand]
+        argv = [subcommand]
+        for name in files:
+            path = work / f"{name}.csv"
+            path.write_text("\n".join(map(",".join, self.FILES[name])) + "\n",
+                            encoding="utf-8")
+            argv += [f"--{name}", str(path)]
+        if subcommand not in ("aggregate", "estimate"):
+            argv += ["--outdir", str(work / "out")]
+        if subcommand == "experiment":
+            argv += ["--count", "5"]
+        return argv
+
+    @pytest.mark.parametrize("subcommand", list(COMMANDS))
+    def test_valid_inputs_succeed(self, tmp_path, capsys, subcommand):
+        assert main(self.argv(tmp_path, subcommand)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("subcommand, flag, value", [
+        (sub, flag, value) for sub, (_, flags) in COMMANDS.items()
+        for flag, values in flags.items() for value in values
+    ])
+    def test_bad_flag_value(self, tmp_path, capsys, subcommand, flag, value):
+        rc = main([*self.argv(tmp_path, subcommand), flag, value])
+        if rc == 2:
+            assert capsys.readouterr().err.startswith("usage:")
+        else:
+            assert rc == 1 and single_json_error(capsys)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), subcommand=st.sampled_from(list(COMMANDS)),
+           kind=st.sampled_from(["ragged", "non-numeric", "blank", "missing",
+                                 "not-utf8", "huge-field", "bad-flag"]))
+    def test_malformed_input_or_flag(self, tmp_path, capsys, data,
+                                     subcommand, kind):
+        files, flags = self.COMMANDS[subcommand]
+        work = tmp_path / f"case{len(list(tmp_path.iterdir()))}"
+        work.mkdir()
+        argv = self.argv(work, subcommand)
+        name = data.draw(st.sampled_from(files))
+        path = work / f"{name}.csv"
+        rows = [list(r) for r in self.FILES[name]]
+        first_row, first_col = self.NUMERIC_FROM[name]
+        r = data.draw(st.integers(first_row, len(rows) - 1))
+        c = data.draw(st.integers(first_col, len(rows[r]) - 1))
+        if kind == "ragged":
+            assume(name != "input")  # a column file ignores extra columns
+            if data.draw(st.booleans()):
+                rows[r].append("1.0")
+            else:
+                del rows[r][c]
+        elif kind == "non-numeric":
+            rows[r][c] = data.draw(NON_NUMERIC)
+        elif kind == "huge-field":
+            rows[r][c] = "1" * (csv.field_size_limit() + 1)
+        elif kind == "bad-flag":
+            flag = data.draw(st.sampled_from([*flags, "--frobnicate"]))
+            values = flags.get(flag, [])
+            argv += [flag, data.draw(st.sampled_from(values))] if values else [flag]
+        text = "\n".join(map(",".join, rows)) + "\n"
+        if kind == "blank":
+            text = data.draw(st.sampled_from(["", "\n", " \n\n", ",\n , \n"]))
+        path.write_text(text, encoding="utf-8")
+        if kind == "missing":
+            path.unlink()
+        elif kind == "not-utf8":
+            raw = path.read_bytes()
+            at = data.draw(st.integers(0, len(raw)))
+            path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        capsys.readouterr()
+        rc = main(argv)
+        if rc == 2:
+            assert kind == "bad-flag"
+            assert capsys.readouterr().err.startswith("usage:")
+            return
+        assert rc == 1
+        err = single_json_error(capsys)
+        assert set(err) == {"error", "message"}
+        if kind == "not-utf8":
+            assert err["error"] == "UnicodeDecodeError"
+            assert str(path) in err["message"]
