@@ -72,8 +72,13 @@ def _load_config_from_argv(argv):
 
 def load_config(path) -> dict:
     """Parse a flat ``key = value`` config file into a string dict."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -232,11 +237,14 @@ def _load_column(path):
         if not row or not row[0].strip():
             continue
         try:
-            values.append(float(row[0]))
+            value = float(row[0])
         except ValueError:
             if idx == 0:
                 continue
             raise MalformedTable(f"non-numeric value in row {idx}")
+        if not np.isfinite(value):
+            raise MalformedTable(f"non-finite value {row[0]!r} in row {idx}")
+        values.append(value)
     return np.asarray(values)
 
 

@@ -65,6 +65,9 @@ class Economy:
                 f"inconsistent shapes: A{A.shape}, a0{a0.shape}, "
                 f"gamma{gamma.shape} for {n} sectors"
             )
+        for name, arr in (("A", A), ("a0", a0), ("gamma", gamma)):
+            if not np.all(np.isfinite(arr)):
+                raise MalformedTable(f"{name} must be finite")
         if np.any(A < 0) or np.any(a0 < 0):
             raise NegativeCoefficient("coefficients must be nonnegative")
         colsums = a0 + A.sum(axis=0)
@@ -72,10 +75,8 @@ class Economy:
         if np.any(bad):
             j = int(np.argmax(np.abs(colsums - 1.0)))
             raise ColumnSumViolation(
-                f"column {self.labels[j]!r} sums to {colsums[j]!r}, expected 1"
+                f"column {self.labels[j]!r} sums to {float(colsums[j])!r}, expected 1"
             )
-        if not np.all(np.isfinite(gamma)):
-            raise MalformedTable("gamma must be finite")
         for arr in (A, a0, gamma):
             arr.flags.writeable = False
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -44,9 +44,12 @@ OVERFLOW_GUARD = 1e12
 ROUND_FLOATS = 2**14
 MAX_ROUND_SWEEPS = 16
 
+#: Row outcomes, shared by the recursive solver and the closed forms.
 CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITERATIONS = "max_iterations"
+NO_POSITIVE_SOLUTION = "no_positive_solution"
+SINGULAR = "singular"
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,6 @@ class EquilibriumBatch:
     iterations: np.ndarray
     residual: np.ndarray
     status: np.ndarray
-
-    @property
-    def converged(self) -> np.ndarray:
-        return self.status == CONVERGED
 
     def row(self, k: int) -> EquilibriumResult:
         return EquilibriumResult(
@@ -264,48 +263,49 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0)
     """Uniform-elasticity prices for every row of a (K, n) shock matrix.
 
     One stacked solve of ``q (diag(z)^gamma - A) = a0 * pi0^gamma`` for
-    q = pi^gamma, then the 1/gamma power.  Returns ``(pi, viable, singular)``:
-    the prices, the rows with a positive q and the rows whose matrix is
-    singular; prices of rows that are not viable are meaningless.
+    q = pi^gamma, then the 1/gamma power.  Returns ``(pi, status)``: the
+    prices and each row's status, "converged" for a positive q,
+    "singular" for a singular matrix and "no_positive_solution" otherwise;
+    prices of rows that did not converge are meaningless.
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use solve_cobb_douglas")
     Z = check_shock_matrix(Z, economy.n)
-    if pi0 <= 0:
-        raise NoPositiveSolution("numeraire must be positive")
+    pi0 = check_numeraire(pi0)
     K, n = Z.shape
     M = np.multiply((Z**gamma)[:, :, None], np.eye(n))
     M -= economy.A
     rhs = np.broadcast_to(economy.a0 * pi0**gamma, (K, n))
     q, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
-    viable = solved & np.all(np.isfinite(q) & (q > 0), axis=1)
-    with np.errstate(invalid="ignore"):  # rows that are not viable
-        return q ** (1.0 / gamma), viable, ~solved
+    status = np.full(K, CONVERGED, dtype=object)
+    status[~np.all(np.isfinite(q) & (q > 0), axis=1)] = NO_POSITIVE_SOLUTION
+    status[~solved] = SINGULAR
+    with np.errstate(invalid="ignore"):  # rows that did not converge
+        return q ** (1.0 / gamma), status
 
 
-def solve_leontief(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
-    """Closed-form Leontief prices: ``pi (diag(z) - A) = pi0 a0``.
+def solve_leontief(economy: Economy, z) -> np.ndarray:
+    """Closed-form Leontief prices: ``pi (diag(z) - A) = a0``.
 
     Raises NoPositiveSolution when the Hawkins-Simon condition fails for
     ``diag(z) - A``.
     """
     z = check_shock(z, economy.n)
-    result = solve_leontief_batch(economy, z[None, :], pi0)
-    return _single_row(result, "Leontief prices")
+    return _single_row(solve_leontief_batch(economy, z[None, :]), "Leontief prices")
 
 
-def solve_leontief_batch(economy: Economy, Z, pi0: float = 1.0):
+def solve_leontief_batch(economy: Economy, Z):
     """Leontief prices for every row of a (K, n) shock matrix: the gamma = 1
     case of :func:`solve_uniform_ces_batch`, with the same result."""
-    return solve_uniform_ces_batch(economy, Z, 1.0, pi0)
+    return solve_uniform_ces_batch(economy, Z, 1.0)
 
 
 def _single_row(result, what):
-    """The prices of a one-row closed-form result, or its error."""
-    pi, viable, singular = result
-    if singular[0]:
+    """The prices of a one-row closed-form result, or its status's error."""
+    pi, status = result
+    if status[0] == SINGULAR:
         raise SingularSystem("Singular matrix")
-    if not viable[0]:
+    if status[0] == NO_POSITIVE_SOLUTION:
         raise NoPositiveSolution(f"{what} left the positive orthant")
     return pi[0]
 
@@ -339,17 +339,17 @@ def _solve(M, rhs):
         raise SingularSystem(str(exc)) from exc
 
 
-def solve_cobb_douglas(economy: Economy, z, pi0: float = 1.0) -> np.ndarray:
+def solve_cobb_douglas(economy: Economy, z) -> np.ndarray:
     """Closed-form Cobb-Douglas log-prices.
 
-    ``ln pi = (a0 ln pi0 - ln z) [I - A]^{-1}``; the result always
-    exponentiates to a positive price vector.
+    ``ln pi = -ln z [I - A]^{-1}``; the result always exponentiates to a
+    positive price vector.
     """
     z = check_shock(z, economy.n)
-    return solve_cobb_douglas_batch(economy, z[None, :], pi0)[0]
+    return solve_cobb_douglas_batch(economy, z[None, :])[0]
 
 
-def solve_cobb_douglas_batch(economy: Economy, Z, pi0: float = 1.0) -> np.ndarray:
+def solve_cobb_douglas_batch(economy: Economy, Z) -> np.ndarray:
     """Cobb-Douglas log-prices for every row of a (K, n) shock matrix.
 
     A stacked solve against the broadcast ``(I - A)^T``; row k equals
@@ -357,8 +357,5 @@ def solve_cobb_douglas_batch(economy: Economy, Z, pi0: float = 1.0) -> np.ndarra
     if ``I - A`` is not invertible.
     """
     Z = check_shock_matrix(Z, economy.n)
-    if pi0 <= 0:
-        raise NoPositiveSolution("numeraire must be positive")
     M = np.eye(economy.n) - economy.A
-    rhs = economy.a0 * np.log(pi0) - np.log(Z)
-    return _solve(M.T, rhs[..., None])[..., 0]
+    return _solve(M.T, -np.log(Z)[..., None])[..., 0]

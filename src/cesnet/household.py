@@ -19,17 +19,14 @@ import numpy as np
 
 from .economy import Economy, check_shock, check_shock_matrix, valid_shock_rows
 from .equilibrium import (
+    CONVERGED,
+    MAX_ITERATIONS,
     _solve,
     solve_cobb_douglas_batch,
     solve_fixed_point_batch,
     solve_leontief_batch,
 )
-from .errors import (
-    CesnetError,
-    InvalidPreferences,
-    NoPositiveSolution,
-    NonPositivePrice,
-)
+from .errors import CesnetError, InvalidPreferences, NonPositivePrice
 
 #: Below this |kappa| the price index uses the Cobb-Douglas log-limit.
 KAPPA_SWITCH = 1e-8
@@ -72,16 +69,20 @@ class HouseholdPrefs:
 
 @dataclass(frozen=True)
 class Unviable(CesnetError):
-    """Value-level outcome: the equilibrium left the positive orthant.
+    """Value-level outcome: no positive equilibrium was found.
 
+    ``status`` is the solver's status for the draw (see ``equilibrium``).
     Returned, not raised, by ``real_gdp_growth`` so that callers can count
     and skip such samples; a caller that cannot go on raises it.
     """
 
     method: str
     z: np.ndarray
+    status: str
 
     def __str__(self):
+        if self.status == MAX_ITERATIONS:
+            return f"solver ran out of iterations under method {self.method!r}"
         return f"no positive equilibrium under method {self.method!r}"
 
 
@@ -130,7 +131,6 @@ def real_gdp_growth(
     prefs: HouseholdPrefs,
     z,
     method: str = GENERAL_CES,
-    pi0: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 10000,
 ):
@@ -140,13 +140,14 @@ def real_gdp_growth(
     the recursive solver on the economy's own elasticities, "leontief" and
     "cobb-douglas" use their closed forms.  A solver that fails to converge
     (diverged or out of iterations) and a closed form without a positive
-    solution both yield ``Unviable``.
+    solution both yield ``Unviable``, carrying the row's status.
     """
     z = check_shock(z, economy.n)
-    ln_h, viable = real_gdp_growth_batch(
-        economy, prefs, z[None, :], method, pi0=pi0, tol=tol, max_iter=max_iter
+    ln_h, status = real_gdp_growth_batch(
+        economy, prefs, z[None, :], method, tol=tol, max_iter=max_iter
     )
-    return float(ln_h[0]) if viable[0] else Unviable(method=method, z=z)
+    ok = status[0] == CONVERGED
+    return float(ln_h[0]) if ok else Unviable(method=method, z=z, status=status[0])
 
 
 def real_gdp_growth_batch(
@@ -154,17 +155,16 @@ def real_gdp_growth_batch(
     prefs: HouseholdPrefs,
     Z,
     method: str = GENERAL_CES,
-    pi0: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log real GDP growth for every row of a (K, n) shock matrix.
 
-    Returns ``(ln_h, viable)``: the growth of each row and the mask of viable
-    rows; ``ln_h`` is 0 where a row is not viable.  Row k equals
-    ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit, and
-    an invalid input raises the error that a loop over the rows would raise
-    first.
+    Returns ``(ln_h, status)``: the growth of each row and its solver status
+    (see ``equilibrium``); ``ln_h`` is 0 where a row did not converge.  Row k
+    equals ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit,
+    and an invalid input raises the error that a loop over the rows would
+    raise first.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -173,32 +173,26 @@ def real_gdp_growth_batch(
         # Rows before the first bad one may raise their own errors first.
         real_gdp_growth_batch(
             economy, prefs, Z[: np.argmin(valid_shock_rows(Z))], method,
-            pi0=pi0, tol=tol, max_iter=max_iter,
+            tol=tol, max_iter=max_iter,
         )
     Z = check_shock_matrix(Z, economy.n)
-    if method == GENERAL_CES:
-        result = solve_fixed_point_batch(
-            economy, Z, pi0=pi0, tol=tol, max_iter=max_iter
-        )
-        viable = result.converged
-        log_pi = np.log(result.pi[viable])
-    elif method == LEONTIEF:
-        try:
-            pi, viable, _ = solve_leontief_batch(economy, Z, pi0=pi0)
-        except NoPositiveSolution:
-            pi, viable = Z, np.zeros(len(Z), bool)
-        log_pi = np.log(pi[viable])
+    if method == COBB_DOUGLAS:
+        log_pi = solve_cobb_douglas_batch(economy, Z)
+        status = np.full(len(Z), CONVERGED, dtype=object)
     else:
-        log_pi = solve_cobb_douglas_batch(economy, Z, pi0=pi0)
-        viable = np.ones(len(Z), bool)
-    pi, inv_z = np.exp(log_pi), 1.0 / Z[viable]
+        if method == GENERAL_CES:
+            result = solve_fixed_point_batch(economy, Z, tol=tol, max_iter=max_iter)
+            pi, status = result.pi, result.status
+        else:
+            pi, status = solve_leontief_batch(economy, Z)
+        log_pi = np.log(pi[status == CONVERGED])
+    ok = status == CONVERGED
+    pi, inv_z = np.exp(log_pi), 1.0 / Z[ok]
     if not np.all(np.isfinite(pi) & (pi > 0) & np.isfinite(inv_z) & (inv_z > 0)):
         raise NonPositivePrice("prices must be strictly positive")
     ln_h = np.zeros(len(Z))
-    ln_h[viable] = _log_price_index_rows(inv_z, prefs) - _log_price_index_rows(
-        pi, prefs
-    )
-    return ln_h, viable
+    ln_h[ok] = _log_price_index_rows(inv_z, prefs) - _log_price_index_rows(pi, prefs)
+    return ln_h, status
 
 
 def domar_weights(economy: Economy, m) -> np.ndarray:

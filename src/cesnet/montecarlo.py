@@ -16,7 +16,7 @@ from scipy.linalg import solveh_banded
 from scipy.stats import norm
 
 from .economy import Economy
-from .equilibrium import _solve
+from .equilibrium import CONVERGED, _solve
 from .errors import (
     AllSamplesUnviable,
     DegenerateSample,
@@ -118,9 +118,9 @@ def simulate_distribution(
 def distribution_from_shocks(
     economy, prefs, shocks, method=GENERAL_CES, seed=0, workers=1
 ) -> DistributionSummary:
-    """Summarize ln H over the viable rows of a (count, n) shock matrix.
+    """Summarize ln H over the converged rows of a (count, n) shock matrix.
 
-    Unviable draws are counted and excluded.  The rows are solved in
+    Other rows are counted as unviable and excluded.  The rows are solved in
     ``workers`` blocks, each capped at WORKSPACE_BYTES, and a row's value
     does not depend on its block.  ``seed`` is only recorded in the summary.
     """
@@ -129,7 +129,7 @@ def distribution_from_shocks(
     rows = max(1, min(-(-count // max(workers, 1)), cap))
     blocks = [real_gdp_growth_batch(economy, prefs, shocks[i : i + rows], method)
               for i in range(0, count, rows)]
-    samples = np.concatenate([ln_h[viable] for ln_h, viable in blocks])
+    samples = np.concatenate([ln_h[status == CONVERGED] for ln_h, status in blocks])
     if samples.size == 0:
         raise AllSamplesUnviable(f"all {count} samples unviable for method {method!r}")
     return summarize_samples(samples, count - samples.size, method, seed)

@@ -2,10 +2,11 @@
 
 Every row of a batched solve must equal, bit for bit, the single-shock call
 on that row: prices, iteration count, residual and status for the recursive
-solver, prices and viability for the closed forms (uniform CES at a drawn
-gamma, whose gamma = 1 case is Leontief), ln H for the household
-aggregation.  Monte Carlo summaries must not depend on how the draws are cut
-into blocks.
+solver, prices and status for the closed forms (uniform CES at a drawn
+gamma, whose gamma = 1 case is Leontief), ln H and status for the household
+aggregation.  A row's status names the exception, or the ``Unviable``
+status, of the single-shock call.  Monte Carlo summaries must not depend on
+how the draws are cut into blocks.
 """
 
 import warnings
@@ -22,7 +23,9 @@ from cesnet.equilibrium import (
     DIVERGED,
     GAMMA_SWITCH,
     MAX_ITERATIONS,
+    NO_POSITIVE_SOLUTION,
     OVERFLOW_GUARD,
+    SINGULAR,
     solve_cobb_douglas,
     solve_cobb_douglas_batch,
     solve_fixed_point,
@@ -116,29 +119,17 @@ def test_closed_form_rows_equal_single_solves(data):
     gamma = data.draw(
         st.just(1.0) | st.floats(-1.5, 1.5).filter(lambda g: abs(g) >= 0.05)
     )
-    pi, viable, singular = solve_leontief_batch(e, Z)
-    pi_u, viable_u, singular_u = solve_uniform_ces_batch(e, Z, gamma)
+    pi, status = solve_leontief_batch(e, Z)
+    pi_u, status_u = solve_uniform_ces_batch(e, Z, gamma)
     log_cd = solve_cobb_douglas_batch(e, Z)
     for k, z in enumerate(Z):
-        try:
-            one = solve_leontief(e, z)
-        except SingularSystem:
-            assert singular[k] and not viable[k]
-        except NoPositiveSolution:
-            assert not viable[k] and not singular[k]
-        else:
-            assert viable[k]
-            np.testing.assert_array_equal(pi[k], one)
+        assert closed_form_status(solve_leontief, e, z) == status[k]
+        if status[k] == CONVERGED:
+            np.testing.assert_array_equal(pi[k], solve_leontief(e, z))
             np.testing.assert_array_equal(pi[k], reference_leontief(e, z))
-        try:
-            one = solve_uniform_ces(e, z, gamma)
-        except SingularSystem:
-            assert singular_u[k] and not viable_u[k]
-        except NoPositiveSolution:
-            assert not viable_u[k] and not singular_u[k]
-        else:
-            assert viable_u[k]
-            np.testing.assert_array_equal(pi_u[k], one)
+        assert closed_form_status(solve_uniform_ces, e, z, gamma) == status_u[k]
+        if status_u[k] == CONVERGED:
+            np.testing.assert_array_equal(pi_u[k], solve_uniform_ces(e, z, gamma))
             if gamma == 1.0:
                 np.testing.assert_array_equal(pi_u[k], reference_leontief(e, z))
         np.testing.assert_array_equal(log_cd[k], solve_cobb_douglas(e, z))
@@ -156,14 +147,27 @@ def test_growth_rows_equal_single_aggregations(data, method, kappa, max_iter):
     e = data.draw(economies())
     Z = data.draw(shock_matrices(e.n))
     prefs = HouseholdPrefs(mu=random_shares(e.n, e.n), kappa=kappa)
-    ln_h, viable = real_gdp_growth_batch(e, prefs, Z, method, max_iter=max_iter)
+    ln_h, status = real_gdp_growth_batch(e, prefs, Z, method, max_iter=max_iter)
+    if method == COBB_DOUGLAS:
+        assert set(status) == {CONVERGED}
     for k, z in enumerate(Z):
         one = real_gdp_growth(e, prefs, z, method, max_iter=max_iter)
         if isinstance(one, Unviable):
-            assert not viable[k] and ln_h[k] == 0.0
+            assert one.status == status[k] != CONVERGED and ln_h[k] == 0.0
         else:
-            assert viable[k] and ln_h[k] == one
+            assert status[k] == CONVERGED and ln_h[k] == one
             assert one == reference_growth(e, prefs, z, method, max_iter)
+
+
+def closed_form_status(solve, *args):
+    """The row status that a single-shock closed-form call stands for."""
+    try:
+        solve(*args)
+    except SingularSystem:
+        return SINGULAR
+    except NoPositiveSolution:
+        return NO_POSITIVE_SOLUTION
+    return CONVERGED
 
 
 def reference_leontief(e, z):
@@ -209,15 +213,18 @@ def test_one_batch_holds_every_status(monkeypatch, round_sweeps):
 def test_singular_leontief_row_fails_alone():
     e = Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0])
     Z = np.array([[2.0], [0.5], [0.25], [1.0]])  # 0.5 - 0.5 = 0 is singular
-    pi, viable, singular = solve_leontief_batch(e, Z)
-    assert list(singular) == [False, True, False, False]
-    assert list(viable) == [True, False, False, True]
+    pi, status = solve_leontief_batch(e, Z)
+    assert list(status) == [CONVERGED, SINGULAR, NO_POSITIVE_SOLUTION, CONVERGED]
     np.testing.assert_array_equal(pi[[0, 3]], [[0.5 / 1.5], [1.0]])
     with pytest.raises(SingularSystem):
         solve_leontief(e, Z[1])
+    with pytest.raises(NoPositiveSolution):
+        solve_leontief(e, Z[2])
     prefs = HouseholdPrefs(mu=[1.0])
-    _, ok = real_gdp_growth_batch(e, prefs, Z, LEONTIEF)
-    assert list(ok) == [True, False, False, True]
+    ln_h, growth_status = real_gdp_growth_batch(e, prefs, Z, LEONTIEF)
+    assert list(growth_status) == list(status)
+    assert list(ln_h[[1, 2]]) == [0.0, 0.0]
+    assert real_gdp_growth(e, prefs, Z[1], LEONTIEF).status == SINGULAR
 
 
 def test_batch_raises_the_first_rows_error():

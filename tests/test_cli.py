@@ -122,7 +122,7 @@ class TestUsageErrors:
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize("bad", [
-        "panel", "economy", "elasticities", "prefs", "input",
+        "panel", "economy", "elasticities", "prefs", "input", "config",
     ])
     def test_latin1_byte_is_domain_error(self, tmp_path, capsys, bad):
         io_path, el_path = write_economy(tmp_path)
@@ -130,6 +130,8 @@ class TestNonUtf8Input:
         latin.write_bytes(b"\xe9,1\n")
         if bad == "panel":
             argv = ["estimate", "--panel", str(latin)]
+        elif bad == "config":
+            argv = ["--config", str(latin), "qq", "--input", str(latin)]
         elif bad == "input":
             argv = ["qq", "--input", str(latin), "--outdir", str(tmp_path)]
         else:
@@ -143,6 +145,36 @@ class TestNonUtf8Input:
         assert err["error"] == "UnicodeDecodeError"
         assert "0xe9" in err["message"]
         assert str(latin) in err["message"]
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("subcommand, cell", [
+        ("qq", "nan"), ("qq", "inf"), ("hp", "nan"), ("hp", "-inf"),
+    ])
+    def test_column_input_is_domain_error(self, tmp_path, capsys, subcommand,
+                                          cell):
+        src = tmp_path / "x.csv"
+        src.write_text(f"value\n1.0\n2.5\n{cell}\n0.5\n4.0\n")
+        out = tmp_path / "out"
+        assert main([subcommand, "--input", str(src), "--outdir", str(out)]) == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "MalformedTable" and repr(cell) in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_io_table_cell_is_domain_error(self, tmp_path, capsys, cell):
+        io_path, el_path = write_economy(tmp_path)
+        (tmp_path / "io.csv").write_text(
+            "sector,steel,corn\nPRIMARY,0.5,0.5\n"
+            f"steel,{cell},0.3\ncorn,0.3,0.2\n"
+        )
+        rc = main(["experiment", "--economy", io_path, "--elasticities",
+                   el_path, "--prefs", write_prefs(tmp_path), "--count", "5",
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert single_json_error(capsys)["error"] in (
+            "MalformedTable", "ColumnSumViolation")
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestNonFiniteSigma:
@@ -770,8 +802,9 @@ class TestCliFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), subcommand=st.sampled_from(list(COMMANDS)),
-           kind=st.sampled_from(["ragged", "non-numeric", "blank", "missing",
-                                 "not-utf8", "huge-field", "bad-flag"]))
+           kind=st.sampled_from(["ragged", "non-numeric", "non-finite",
+                                 "blank", "missing", "not-utf8", "huge-field",
+                                 "bad-flag"]))
     def test_malformed_input_or_flag(self, tmp_path, capsys, data,
                                      subcommand, kind):
         files, flags = self.COMMANDS[subcommand]
@@ -792,6 +825,9 @@ class TestCliFuzz:
                 del rows[r][c]
         elif kind == "non-numeric":
             rows[r][c] = data.draw(NON_NUMERIC)
+        elif kind == "non-finite":
+            assume(name != "panel")  # the panel drops non-finite rows
+            rows[r][c] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
         elif kind == "huge-field":
             rows[r][c] = "1" * (csv.field_size_limit() + 1)
         elif kind == "bad-flag":

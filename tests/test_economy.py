@@ -68,6 +68,15 @@ class TestLoader:
         with pytest.raises(ColumnSumViolation):
             load_economy(io_path, el_path)
 
+    def test_nan_cell_of_io_table(self, tmp_path):
+        io_path, el_path = write_csvs(
+            tmp_path,
+            ["sector,a,b", "PRIMARY,0.5,0.5", "a,nan,0.3", "b,0.3,0.2"],
+            ["a,1.0", "b,1.0"],
+        )
+        with pytest.raises(MalformedTable, match="A must be finite"):
+            load_economy(io_path, el_path)
+
     def test_small_deviation_renormalized(self, tmp_path):
         io_path, el_path = write_csvs(
             tmp_path,
@@ -129,6 +138,19 @@ class TestEconomyType:
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ColumnSumViolation):
             Economy(labels=("a",), A=[[0.4]], a0=[0.5], gamma=[0.0])
+
+    def test_column_sum_message_prints_a_plain_float(self):
+        with pytest.raises(ColumnSumViolation) as info:
+            Economy(labels=("a",), A=[[0.6]], a0=[0.5], gamma=[0.0])
+        assert str(info.value) == "column 'a' sums to 1.1, expected 1"
+
+    @pytest.mark.parametrize("field", ["A", "a0", "gamma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        args = {"A": [[0.4]], "a0": [0.6], "gamma": [0.0]}
+        args[field] = np.full_like(args[field], bad)
+        with pytest.raises(MalformedTable, match=f"{field} must be finite"):
+            Economy(labels=("a",), **args)
 
     def test_immutable_arrays(self, econ4):
         with pytest.raises(ValueError):

@@ -172,6 +172,17 @@ class TestProperties:
         scaled = solve_uniform_ces(e, z, 0.5, pi0=3.0)
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
+    @pytest.mark.parametrize("pi0", [0.0, -1.0, np.nan])
+    def test_bad_numeraire_is_a_nonpositive_price(self, econ4, pi0):
+        # One numeraire check for every entry point that takes pi0.
+        z = np.ones(4)
+        with pytest.raises(NonPositivePrice, match="numeraire"):
+            solve_fixed_point(econ4, z, pi0=pi0)
+        with pytest.raises(NonPositivePrice, match="numeraire"):
+            solve_uniform_ces(econ4, z, 0.5, pi0=pi0)
+        with pytest.raises(NonPositivePrice, match="numeraire"):
+            unit_costs(econ4, z, pi0)
+
     def test_numeraire_homogeneity_recursion(self, econ4):
         z = np.exp(0.05 * np.random.default_rng(8).standard_normal(4))
         base = solve_fixed_point(econ4, z, pi0=1.0, tol=1e-13)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from cesnet.economy import Economy
-from cesnet.equilibrium import solve_fixed_point
+from cesnet.equilibrium import (
+    DIVERGED,
+    MAX_ITERATIONS,
+    NO_POSITIVE_SOLUTION,
+    solve_fixed_point,
+)
 from cesnet.errors import NonPositivePrice
 from cesnet.household import (
     COBB_DOUGLAS,
@@ -110,9 +115,20 @@ class TestRealGdpGrowth:
         prefs = HouseholdPrefs(mu=[0.5, 0.5])
         out = real_gdp_growth(e, prefs, np.array([0.01, 0.01]), LEONTIEF)
         assert isinstance(out, Unviable)
-        assert out.method == LEONTIEF
+        assert out.method == LEONTIEF and out.status == NO_POSITIVE_SOLUTION
+        assert str(out) == "no positive equilibrium under method 'leontief'"
         out = real_gdp_growth(e, prefs, np.array([0.01, 0.01]), GENERAL_CES)
-        assert isinstance(out, Unviable)
+        assert isinstance(out, Unviable) and out.status == DIVERGED
+
+    def test_out_of_iterations_is_not_called_no_equilibrium(self, econ4):
+        # A draw that merely needs more sweeps than allowed says so.
+        prefs = HouseholdPrefs(mu=random_shares(0, 4))
+        z = np.exp(0.1 * np.random.default_rng(3).standard_normal(4))
+        assert isinstance(real_gdp_growth(econ4, prefs, z), float)
+        out = real_gdp_growth(econ4, prefs, z, GENERAL_CES, max_iter=2)
+        assert isinstance(out, Unviable) and out.status == MAX_ITERATIONS
+        assert str(out) == (
+            "solver ran out of iterations under method 'general-ces'")
 
     def test_unknown_method_raises(self, econ4):
         prefs = HouseholdPrefs(mu=random_shares(0, 4))
