@@ -231,23 +231,6 @@ def _load_prefs(args, economy):
     return HouseholdPrefs(mu=mu, kappa=args.kappa)
 
 
-def _load_column(path):
-    values = []
-    for idx, row in enumerate(econ.read_csv_rows(path)):
-        if not row or not row[0].strip():
-            continue
-        try:
-            value = float(row[0])
-        except ValueError:
-            if idx == 0:
-                continue
-            raise MalformedTable(f"non-numeric value in row {idx}")
-        if not np.isfinite(value):
-            raise MalformedTable(f"non-finite value {row[0]!r} in row {idx}")
-        values.append(value)
-    return np.asarray(values)
-
-
 def _write_csv(path, header, *columns):
     """Write a CSV file: the header row, then one row per index of the columns.
 
@@ -356,7 +339,7 @@ def _write_summary_files(out, method, summary):
 
 
 def _cmd_qq(args) -> int:
-    samples = _load_column(args.input)
+    samples = econ.load_column(args.input)
     pairs = mc.qq_points(samples)
     out = _outdir(args)
     _write_csv(out / "qq.csv", ["theoretical", "sample"], *pairs.T)
@@ -364,7 +347,7 @@ def _cmd_qq(args) -> int:
 
 
 def _cmd_hp(args) -> int:
-    series = _load_column(args.input)
+    series = econ.load_column(args.input)
     trend, cycle = mc.hp_filter(series, args.lam)
     out = _outdir(args)
     _write_csv(out / "hp.csv", ["trend", "cycle"], trend, cycle)
@@ -372,9 +355,10 @@ def _cmd_hp(args) -> int:
 
 
 def _cmd_gbm(args) -> int:
-    names, columns = _load_table_columns(args.input)
+    names, columns = econ.read_csv_table(args.input, "level table")
     rows = []
-    for series in columns:
+    for series in [econ.parse_column(cells, float, "level", "level table", 2)
+                   for cells in columns]:
         moments = gbm_mod.estimate_gbm_moments(series)
         dlm = gbm_mod.estimate_gbm_dlm(series)
         growth = np.diff(np.log(series))
@@ -391,27 +375,8 @@ def _cmd_gbm(args) -> int:
     return 0
 
 
-def _read_rows(path):
-    """The rows of a CSV file that hold a non-blank cell."""
-    return [r for r in econ.read_csv_rows(path) if "".join(r).strip()]
-
-
-def _load_table_columns(path):
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise MalformedTable("need a header row and data rows")
-    names = [c.strip() for c in rows[0]]
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise MalformedTable(f"non-numeric table cell: {exc}") from exc
-    if data.shape[1] != len(names):
-        raise MalformedTable("ragged table")
-    return names, data.T
-
-
 def _cmd_estimate(args) -> int:
-    panel, inst_names = _load_panel(args.panel)
+    panel = _load_panel(args.panel)
     tokens = [t.strip() for t in args.iv.split(",") if t.strip()]
     resolved = []
     for token in tokens:
@@ -461,51 +426,27 @@ def _estimate_payload(estimate):
 
 
 def _load_panel(path):
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise MalformedTable("panel CSV needs a header and data rows")
-    header = [c.strip() for c in rows[0]]
+    header, columns = econ.read_csv_table(path, "panel")
     if header[:4] != ["entity", "period", "share", "price"]:
         raise MalformedTable(
             "panel header must start with entity,period,share,price"
         )
     inst_names = [c[5:] if c.startswith("inst_") else c for c in header[4:]]
-    if set(map(len, rows)) != {len(header)}:
-        idx, row = next((i, r) for i, r in enumerate(rows[1:], start=2)
-                        if len(r) != len(header))
-        raise MalformedTable(f"panel row {idx} has {len(row)} fields")
-    columns = list(zip(*rows[1:]))
-    del rows
     entity = list(map(str.strip, columns[0]))
-    period = _panel_column(columns[1], int, "period")
-    share, price, *inst = (_panel_column(col, float, name)
+    period = econ.parse_column(columns[1], int, "period", "panel", 2)
+    share, price, *inst = (econ.parse_column(col, float, name, "panel", 2)
                            for name, col in zip(header[2:], columns[2:]))
     # Zero shares have no log; NaN rows are masked by the constructor.
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.where(share > 0, np.log(np.where(share > 0, share, 1.0)), np.nan)
         x = np.log(price)
-    panel = em.PanelDataset(
+    return em.PanelDataset(
         entity=np.asarray(entity),
         period=period,
         y=y,
         x=x,
         instruments=dict(zip(inst_names, inst)),
     )
-    return panel, inst_names
-
-
-def _panel_column(cells, convert, what):
-    try:
-        return np.asarray(list(map(convert, cells)))
-    except ValueError:
-        for idx, cell in enumerate(cells, start=2):
-            try:
-                convert(cell)
-            except ValueError:
-                raise MalformedTable(
-                    f"non-numeric {what} {cell!r} in panel row {idx}"
-                ) from None
-        raise
 
 
 def _cmd_experiment(args) -> int:

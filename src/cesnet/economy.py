@@ -65,6 +65,9 @@ class Economy:
                 f"inconsistent shapes: A{A.shape}, a0{a0.shape}, "
                 f"gamma{gamma.shape} for {n} sectors"
             )
+        if len(set(self.labels)) != n:
+            dup = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
+            raise MalformedTable(f"duplicate sector label {dup!r}")
         for name, arr in (("A", A), ("a0", a0), ("gamma", gamma)):
             if not np.all(np.isfinite(arr)):
                 raise MalformedTable(f"{name} must be finite")
@@ -118,15 +121,10 @@ def check_shock_matrix(Z, n: int) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != n:
         raise MalformedTable(f"shock matrix has shape {Z.shape}, expected (K, {n})")
-    valid = valid_shock_rows(Z)
+    valid = np.all(np.isfinite(Z) & (Z > 0), axis=1)
     if not valid.all():
         check_shock(Z[np.argmin(valid)], n)
     return Z
-
-
-def valid_shock_rows(Z) -> np.ndarray:
-    """Mask of the rows of a shock matrix that are finite and strictly positive."""
-    return np.all(np.isfinite(Z) & (Z > 0), axis=1)
 
 
 def check_prices(pi, n: int, pi0: float = 1.0) -> tuple[np.ndarray, float]:
@@ -151,7 +149,8 @@ def load_economy(io_table_path, elasticities_path) -> Economy:
     """Load an Economy from an IO-table CSV and an elasticities CSV.
 
     The IO table has header ``sector,<label_1>,...,<label_n>``, a first data
-    row ``PRIMARY,a_01,...,a_0n`` and n further rows ``label_i,a_i1,...,a_in``.
+    row ``PRIMARY,a_01,...,a_0n`` and n further rows ``label_i,a_i1,...,a_in``
+    (read by :func:`read_csv_table`).
     The elasticities file has rows ``label_j,sigma_j`` (read by
     :func:`load_labelled_vector`); sigma is converted to
     ``gamma = 1 - sigma``.
@@ -218,90 +217,123 @@ def cost_shares(economy: Economy, pi, pi0: float = 1.0, z=None) -> np.ndarray:
     return economy.augmented_coefficients() * ratio ** (-economy.gamma[None, :])
 
 
-def read_csv_rows(path) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file, blank rows included.
+def read_csv_rows(path, name, width=None) -> list[list[str]]:
+    """The non-blank rows of the UTF-8 CSV file ``name`` at ``path``.
 
-    A byte that is not UTF-8 raises UnicodeDecodeError with the file's path
-    in its message.
+    Every input file is read here.  A row whose cells are all blank is
+    dropped; the others are numbered from 1, a header being row 1.  Given
+    ``width`` (a field count, or ``"first"`` for the first row's), a row of
+    another width raises ``MalformedTable("<name> row <i> has <k> fields")``.
+    A byte that is not UTF-8 raises UnicodeDecodeError naming the path.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     except UnicodeDecodeError as exc:
         exc.reason += f" in {path}"
         raise
     except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
         raise MalformedTable(f"{path}: {exc}") from exc
+    if width == "first":
+        width = len(rows[0]) if rows else 0
+    if width is not None and set(map(len, rows)) - {width}:
+        i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
+        raise MalformedTable(f"{name} row {i} has {len(row)} fields")
+    return rows
+
+
+def read_csv_table(path, name) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header (the first non-blank row) of a CSV file whose rows are all
+    as wide, and its columns: each the tuple of its cells from row 2 on."""
+    rows = read_csv_rows(path, name, width="first")
+    if len(rows) < 2:
+        raise MalformedTable(f"{name} needs a header row and data rows")
+    return [cell.strip() for cell in rows[0]], list(zip(*rows[1:]))
+
+
+def parse_column(cells, convert, what, name, first_row) -> np.ndarray:
+    """The cells of a column from row ``first_row`` of file ``name`` on,
+    converted by ``convert`` (``float`` or ``int``) into an array.  The first
+    cell it rejects raises ``MalformedTable("non-numeric <what> '<cell>' in
+    <name> row <i>")``."""
+    try:
+        return np.asarray(list(map(convert, cells)))
+    except ValueError:
+        for i, cell in enumerate(cells, first_row):
+            try:
+                convert(cell)
+            except ValueError:
+                raise MalformedTable(
+                    f"non-numeric {what} {cell!r} in {name} row {i}"
+                ) from None
+        raise
 
 
 def _parse_io_table(path):
     try:
-        rows = read_csv_rows(path)
+        header, columns = read_csv_table(path, "IO table")
     except OSError as exc:
         raise MalformedTable(f"cannot read IO table: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if len(rows) < 3:
-        raise MalformedTable("IO table needs a header, a PRIMARY row and sector rows")
-    header = rows[0]
-    labels = [cell.strip() for cell in header[1:]]
-    n = len(labels)
+    labels, n = header[1:], len(header) - 1
     if n == 0:
         raise MalformedTable("IO table header declares no sectors")
-    if len(rows) != n + 2:
+    if len(columns[0]) != n + 1:
         raise MalformedTable(
-            f"IO table has {len(rows) - 2} sector rows, expected {n}"
+            f"IO table has {len(columns[0]) - 1} sector rows, expected {n}"
         )
-    if rows[1][0].strip() != PRIMARY_ROW_LABEL:
-        raise MalformedTable(
-            f"first data row must be labelled {PRIMARY_ROW_LABEL!r}, "
-            f"got {rows[1][0]!r}"
-        )
-    a0 = _parse_row(rows[1], n, "PRIMARY")
-    A = np.empty((n, n))
-    for i, row in enumerate(rows[2:]):
-        lab = row[0].strip()
-        if lab != labels[i]:
+    expected = [PRIMARY_ROW_LABEL, *labels]
+    for i, (cell, label) in enumerate(zip(columns[0], expected), 2):
+        if cell.strip() != label:
             raise MalformedTable(
-                f"row {i + 1} labelled {lab!r}, expected {labels[i]!r}"
+                f"IO table row {i} labelled {cell.strip()!r}, expected {label!r}"
             )
-        A[i] = _parse_row(row, n, lab)
+    coefficients = np.column_stack([
+        parse_column(col, float, "coefficient", "IO table", 2)
+        for col in columns[1:]
+    ])
+    a0, A = coefficients[0], coefficients[1:]
     if np.any(a0 < 0) or np.any(A < 0):
         raise NegativeCoefficient("IO table contains a negative coefficient")
     return labels, a0, A
 
 
-def _parse_row(row, n, label):
-    if len(row) != n + 1:
-        raise MalformedTable(f"row {label!r} has {len(row) - 1} values, expected {n}")
-    try:
-        return np.array([float(cell) for cell in row[1:]])
-    except ValueError as exc:
-        raise MalformedTable(f"non-numeric value in row {label!r}: {exc}") from exc
-
-
 def load_labelled_vector(path, labels, what) -> np.ndarray:
     """The values of a ``label,value`` CSV file, in the order of ``labels``.
 
-    Blank rows are skipped, and so is a non-numeric first row (a header such
-    as ``sector,sigma``); a later label overrides an earlier one.  A row
-    without exactly two fields, a non-numeric value or a label with no row
-    raises :class:`MalformedTable`, whose message starts with ``what``.
+    A later label overrides an earlier one.  A row without exactly two
+    fields, a non-numeric value or a label with no row raises
+    :class:`MalformedTable`; ``what`` names the file.
     """
-    values = {}
-    for idx, row in enumerate(read_csv_rows(path)):
-        if not "".join(row).strip():
-            continue
-        if len(row) != 2:
-            raise MalformedTable(f"{what} row {idx} has {len(row)} fields")
-        try:
-            values[row[0].strip()] = float(row[1])
-        except ValueError:
-            if idx == 0:
-                continue
-            raise MalformedTable(
-                f"{what} row {idx} has a non-numeric value {row[1]!r}"
-            ) from None
-    missing = [lab for lab in labels if lab not in values]
+    _, rows, values = _value_column(path, what, 1, width=2)
+    found = dict(zip([row[0].strip() for row in rows], values.tolist()))
+    missing = [lab for lab in labels if lab not in found]
     if missing:
         raise MalformedTable(f"{what} missing for sectors: {missing}")
-    return np.array([values[lab] for lab in labels])
+    return np.array([found[lab] for lab in labels])
+
+
+def load_column(path) -> np.ndarray:
+    """The first cell of each row of a series CSV file, as finite floats;
+    later cells are ignored."""
+    first, rows, values = _value_column(path, "series", 0)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise MalformedTable(f"non-finite value {rows[i][0]!r} in series row {first + i}")
+    return values
+
+
+def _value_column(path, name, col, width=None):
+    """``(first_row, rows, values)``: the rows of a CSV file from its first
+    data row on, and their cells ``col`` as floats.  A first row whose cell
+    ``col`` is not a number is a header, such as ``sector,sigma``.
+    """
+    rows = read_csv_rows(path, name, width)
+    first = 1
+    if rows:
+        try:
+            float(rows[0][col])
+        except ValueError:
+            first = 2
+    rows = rows[first - 1:]
+    cells = [row[col] for row in rows]
+    return first, rows, parse_column(cells, float, "value", name, first)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, check_shock, check_shock_matrix, valid_shock_rows
+from .economy import Economy, check_shock, check_shock_matrix
 from .equilibrium import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -162,19 +162,12 @@ def real_gdp_growth_batch(
 
     Returns ``(ln_h, status)``: the growth of each row and its solver status
     (see ``equilibrium``); ``ln_h`` is 0 where a row did not converge.  Row k
-    equals ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit,
-    and an invalid input raises the error that a loop over the rows would
-    raise first.
+    equals ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit.
+    The shock matrix is validated before any solve: a bad row raises what
+    ``check_shock`` raises for the first such row.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 2 and not valid_shock_rows(Z).all():
-        # Rows before the first bad one may raise their own errors first.
-        real_gdp_growth_batch(
-            economy, prefs, Z[: np.argmin(valid_shock_rows(Z))], method,
-            tol=tol, max_iter=max_iter,
-        )
     Z = check_shock_matrix(Z, economy.n)
     if method == COBB_DOUGLAS:
         log_pi = solve_cobb_douglas_batch(economy, Z)

@@ -239,6 +239,16 @@ def test_batch_raises_the_first_rows_error():
         solve_fixed_point_batch(e, Z)
 
 
+def test_batch_validates_the_shocks_before_solving():
+    # I - A is singular, so a solve of the first, valid row would raise
+    # SingularSystem; the bad second row is reported first.
+    e = Economy(labels=("a", "b"), A=[[1.0, 0.0], [0.0, 0.5]], a0=[0.0, 0.5],
+                gamma=[0.0, 0.0])
+    prefs = HouseholdPrefs(mu=[0.5, 0.5])
+    with pytest.raises(NonPositiveValue, match="nan"):
+        real_gdp_growth_batch(e, prefs, [[1.0, 1.0], [np.nan, 1.0]], COBB_DOUGLAS)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_distribution_independent_of_blocks(monkeypatch, method):
     # Inelastic economy under large shocks: unviable Leontief draws and a

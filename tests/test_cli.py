@@ -664,6 +664,69 @@ class TestExperimentEdgeCases:
         assert not (out / "qq_cobb_douglas.csv").exists()
 
 
+class TestLoaderMessages:
+    """Every CSV input names a bad row the same way: rows are numbered from
+    1 over the non-blank rows, the header being row 1.  Each case puts a
+    blank line before row 3 and breaks that row's last cell."""
+
+    #: Per input file: its subcommand, its valid rows, its name in
+    #: messages and what its cells hold.
+    FILES = {
+        "economy": ("aggregate", ["sector,steel,corn", "PRIMARY,0.5,0.5",
+                                  "steel,0.2,0.3", "corn,0.3,0.2"],
+                    "IO table", "coefficient"),
+        "elasticities": ("aggregate", ["sector,sigma", "steel,1.5", "corn,0.5"],
+                         "elasticities", "value"),
+        "prefs": ("aggregate", ["sector,mu", "steel,0.4", "corn,0.6"],
+                  "mu", "value"),
+        "shocks": ("aggregate", ["sector,z", "steel,1.1", "corn,0.9"],
+                   "shock", "value"),
+        "qq": ("qq", ["x", "1.0", "2.5", "0.5", "4.0"], "series", "value"),
+        "hp": ("hp", ["x", "1.0", "2.5", "0.5", "4.0"], "series", "value"),
+        "gbm": ("gbm", ["a,b", "1.0,2.0", "1.1,1.9", "1.3,2.2", "1.2,2.1"],
+                "level table", "level"),
+        "panel": ("estimate", ["entity,period,share,price", "a,1,0.5,1.0",
+                               "a,2,0.4,1.2", "b,1,0.3,0.9", "b,2,0.6,1.1"],
+                  "panel", "price"),
+    }
+
+    def error(self, tmp_path, capsys, key, row3):
+        subcommand, rows, _, _ = self.FILES[key]
+        path = tmp_path / f"{key}.csv"
+        path.write_text("\n".join([*rows[:2], "", row3, *rows[3:]]) + "\n")
+        if subcommand == "aggregate":
+            io_path, el_path = write_economy(tmp_path)
+            inputs = {"economy": io_path, "elasticities": el_path,
+                      "prefs": write_prefs(tmp_path),
+                      "shocks": write_shocks(tmp_path), key: str(path)}
+            argv = ["aggregate",
+                    *(a for k, v in inputs.items() for a in (f"--{k}", v))]
+        elif subcommand == "estimate":
+            argv = ["estimate", "--panel", str(path)]
+        else:
+            argv = [subcommand, "--input", str(path),
+                    "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "MalformedTable"
+        return err["message"]
+
+    @pytest.mark.parametrize("key", list(FILES))
+    def test_non_numeric_cell(self, tmp_path, capsys, key):
+        _, rows, name, what = self.FILES[key]
+        row3 = ",".join([*rows[2].split(",")[:-1], "x"])
+        assert self.error(tmp_path, capsys, key, row3) == (
+            f"non-numeric {what} 'x' in {name} row 3")
+
+    @pytest.mark.parametrize("key", [k for k in FILES if k not in ("qq", "hp")])
+    def test_ragged_row(self, tmp_path, capsys, key):
+        # A column file reads only the first cell of each row.
+        _, rows, name, _ = self.FILES[key]
+        cells = rows[2].split(",")[:-1]
+        assert self.error(tmp_path, capsys, key, ",".join(cells)) == (
+            f"{name} row 3 has {len(cells)} fields")
+
+
 # Finite floats, with the corner cases of shortest round-trip formatting.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-7, 1e15, 123456789012345678.0])
@@ -736,6 +799,8 @@ class TestCliFuzz:
         "prefs": [["steel", "0.4"], ["corn", "0.6"]],
         "shocks": [["steel", "1.1"], ["corn", "0.9"]],
         "input": [["x"], ["1.0"], ["2.5"], ["0.5"], ["4.0"], ["3.0"]],
+        "levels": [["a", "b"], ["1.0", "2.0"], ["1.1", "1.9"], ["1.3", "2.2"],
+                   ["1.2", "2.1"], ["1.5", "2.4"]],
         "panel": [["entity", "period", "share", "price", "inst_w"]] + [
             [e, str(t), repr(0.1 + 0.05 * i + 0.02 * t * t),
              repr(1.0 + 0.1 * i * t + 0.03 * t), repr(0.5 * i - 0.2 * t * t)]
@@ -745,7 +810,8 @@ class TestCliFuzz:
     #: Per input file: the first row and first column that hold numbers
     #: (a non-numeric first row of a column file reads as its header).
     NUMERIC_FROM = {"economy": (1, 1), "elasticities": (0, 1), "prefs": (0, 1),
-                    "shocks": (0, 1), "input": (1, 0), "panel": (1, 1)}
+                    "shocks": (0, 1), "input": (1, 0), "levels": (1, 0),
+                    "panel": (1, 1)}
     #: Per subcommand: its input files and its flags with values it rejects.
     COMMANDS = {
         "solve": (("economy", "elasticities", "shocks"), {
@@ -758,6 +824,7 @@ class TestCliFuzz:
         }),
         "qq": (("input",), {"--outdir": []}),
         "hp": (("input",), {"--lam": ["0", "-1", "nan", "abc"]}),
+        "gbm": (("levels",), {"--outdir": []}),
         "estimate": (("panel",), {
             "--method": ["bogus"], "--parameter": ["bogus"],
             "--iv": ["zz", "l"],
@@ -776,7 +843,8 @@ class TestCliFuzz:
             path = work / f"{name}.csv"
             path.write_text("\n".join(map(",".join, self.FILES[name])) + "\n",
                             encoding="utf-8")
-            argv += [f"--{name}", str(path)]
+            # gbm reads its level table with --input, as qq/hp their column.
+            argv += [f"--{'input' if name == 'levels' else name}", str(path)]
         if subcommand not in ("aggregate", "estimate"):
             argv += ["--outdir", str(work / "out")]
         if subcommand == "experiment":

@@ -114,6 +114,15 @@ class TestLoader:
         with pytest.raises(MalformedTable):
             load_economy(io_path, el_path)
 
+    def test_duplicate_sector_label(self, tmp_path):
+        io_path, el_path = write_csvs(
+            tmp_path,
+            ["sector,a,a", "PRIMARY,0.5,0.5", "a,0.2,0.3", "a,0.3,0.2"],
+            ["a,1.0"],
+        )
+        with pytest.raises(MalformedTable, match="^duplicate sector label 'a'$"):
+            load_economy(io_path, el_path)
+
     def test_round_trip_bit_identical(self, tmp_path):
         e = random_economy(3, 6)
         io_path = tmp_path / "io.csv"
