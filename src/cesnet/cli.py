@@ -13,6 +13,7 @@ standard error), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -27,7 +28,7 @@ from . import equilibrium as eq
 from . import gbm as gbm_mod
 from . import montecarlo as mc
 from . import structure as struct_mod
-from .errors import CesnetError, MalformedTable, NotConverged
+from .errors import CesnetError, MalformedTable, NonPositiveValue, NotConverged
 from .household import METHODS, HouseholdPrefs, Unviable, real_gdp_growth
 
 DEFAULT_SEED = 20110101
@@ -231,28 +232,6 @@ def _load_prefs(args, economy):
     return HouseholdPrefs(mu=mu, kappa=args.kappa)
 
 
-def _write_csv(path, header, *columns):
-    """Write a CSV file: the header row, then one row per index of the columns.
-
-    A column is a float array, whose cells are written in shortest
-    round-trip form (the ``repr`` of the float, so a reader gets back the
-    same bits), or a list of labels, quoted as ``csv.writer`` quotes them.
-    The file is written in one pass, with ``csv.writer``'s CRLF line ends.
-    """
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
-             else map(_csv_cell, col) for col in columns]
-    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([",".join(map(_csv_cell, header)), *rows, ""]))
-
-
-def _csv_cell(text):
-    """A text cell with the minimal quoting of ``csv.writer``."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_json(path, payload):
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -280,7 +259,7 @@ def _cmd_solve(args) -> int:
     })
     if not result.converged:
         raise NotConverged(f"status {result.status}")
-    _write_csv(out / "prices.csv", ["label", "price"], economy.labels, result.pi)
+    econ.write_csv(out / "prices.csv", ["label", "price"], economy.labels, result.pi)
     return 0
 
 
@@ -295,9 +274,9 @@ def _cmd_structure(args) -> int:
     )
     out = _outdir(args)
     header = ["input", *economy.labels]
-    _write_csv(out / "b_matrix.csv", header, ["PRIMARY", *economy.labels],
-               *np.vstack([structure.b0, structure.B]).T)
-    _write_csv(out / "s_matrix.csv", header, economy.labels, *structure.S.T)
+    econ.write_csv(out / "b_matrix.csv", header, ["PRIMARY", *economy.labels],
+                   *np.vstack([structure.b0, structure.B]).T)
+    econ.write_csv(out / "s_matrix.csv", header, economy.labels, *structure.S.T)
     _write_json(out / "structure.json", {
         "viable": structure.viable, "iterations": result.iterations,
         "residual": result.residual,
@@ -330,19 +309,19 @@ def _cmd_simulate(args) -> int:
 def _write_summary_files(out, method, summary):
     tag = method.replace("-", "_")
     _write_json(out / f"summary_{tag}.json", summary.to_dict())
-    _write_csv(out / f"samples_{tag}.csv", ["ln_h"], summary.samples)
+    econ.write_csv(out / f"samples_{tag}.csv", ["ln_h"], summary.samples)
     # QQ points need at least 3 distinct draws; tiny runs still get a
     # valid summary and sample file.
     if summary.samples.size >= 3 and np.ptp(summary.samples) > 0:
         pairs = mc.qq_points(summary.samples)
-        _write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"], *pairs.T)
+        econ.write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"], *pairs.T)
 
 
 def _cmd_qq(args) -> int:
     samples = econ.load_column(args.input)
     pairs = mc.qq_points(samples)
     out = _outdir(args)
-    _write_csv(out / "qq.csv", ["theoretical", "sample"], *pairs.T)
+    econ.write_csv(out / "qq.csv", ["theoretical", "sample"], *pairs.T)
     return 0
 
 
@@ -350,15 +329,21 @@ def _cmd_hp(args) -> int:
     series = econ.load_column(args.input)
     trend, cycle = mc.hp_filter(series, args.lam)
     out = _outdir(args)
-    _write_csv(out / "hp.csv", ["trend", "cycle"], trend, cycle)
+    econ.write_csv(out / "hp.csv", ["trend", "cycle"], trend, cycle)
     return 0
 
 
 def _cmd_gbm(args) -> int:
     names, columns = econ.read_csv_table(args.input, "level table")
     rows = []
-    for series in [econ.parse_column(cells, float, "level", "level table", 2)
-                   for cells in columns]:
+    for name, cells in zip(names, columns):
+        series = econ.parse_column(cells, float, "level", "level table", 2)
+        bad = ~(np.isfinite(series) & (series > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise NonPositiveValue(
+                f"non-positive or non-finite level {cells[i]!r} in level "
+                f"table column {name!r} row {i + 2}")
         moments = gbm_mod.estimate_gbm_moments(series)
         dlm = gbm_mod.estimate_gbm_dlm(series)
         growth = np.diff(np.log(series))
@@ -366,7 +351,7 @@ def _cmd_gbm(args) -> int:
                      dlm.sigma_hat, *gbm_mod.shapiro_wilk(growth)])
     stats = np.array(rows, dtype=float)
     out = _outdir(args)
-    _write_csv(
+    econ.write_csv(
         out / "gbm.csv",
         ["series", "mu_moments", "sigma_moments", "mu_dlm", "sigma_dlm",
          "sw_w", "sw_p", "normal_5pct"],
@@ -397,31 +382,18 @@ def _cmd_estimate(args) -> int:
 
 
 def _estimate_payload(estimate):
-    payload = {
-        "parameter": estimate.parameter,
-        "coef": estimate.coef,
-        "se": estimate.se,
-        "method": estimate.method,
-        "nobs": estimate.nobs,
-        "n_entities": estimate.n_entities,
-        "time_dummies": {
-            str(t): float(v)
-            for t, v in zip(estimate.dummy_periods, estimate.time_dummies)
-        },
+    """The estimate's fields, with the time dummies keyed by their period
+    and no diagnostics key for a least-squares fit."""
+    payload = dataclasses.asdict(estimate)
+    periods = payload.pop("dummy_periods")
+    payload["time_dummies"] = {
+        str(t): float(v) for t, v in zip(periods, payload["time_dummies"])
     }
+    if payload["diagnostics"] is None:
+        del payload["diagnostics"]
     if estimate.parameter == "gamma":
         payload["sigma_hat"] = estimate.sigma_hat
         payload["sigma_se"] = estimate.se
-    d = estimate.diagnostics
-    if d is not None:
-        payload["diagnostics"] = {
-            "first_stage_f": d.first_stage_f,
-            "sargan": d.sargan,
-            "sargan_p": d.sargan_p,
-            "endogeneity_f": d.endogeneity_f,
-            "endogeneity_p": d.endogeneity_p,
-            "instruments": list(d.instruments),
-        }
     return payload
 
 

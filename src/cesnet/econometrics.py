@@ -112,10 +112,6 @@ class ElasticityEstimate:
     diagnostics: IvDiagnostics | None = None
 
     @property
-    def gamma_hat(self) -> float:
-        return self.coef
-
-    @property
     def sigma_hat(self) -> float | None:
         """1 - gamma for production runs; undefined for kappa runs."""
         if self.parameter != "gamma":
@@ -185,18 +181,27 @@ def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
     Standard errors use the fixed-effects degrees of freedom
     ``nobs - n_entities - k``.
     """
-    y, _, X, _, _, periods, n_entities = _design(panel)
+    design = _design(panel)
+    y, _, X, _, _, _, n_entities = design
     _check_rank(X, "FE design matrix")
     beta, cov = _ols_fit(y, X, dof=panel.nobs - n_entities - X.shape[1])
+    return _estimate(parameter, LS_FE, panel, design, beta, cov)
+
+
+def _estimate(parameter, method, panel, design, beta, cov, diagnostics=None):
+    """The ElasticityEstimate of a fit ``beta`` with covariance ``cov`` of
+    the regressors ``[x, time dummies]`` of ``design``."""
+    *_, periods, n_entities = design
     return ElasticityEstimate(
         parameter=parameter,
         coef=float(beta[0]),
         se=float(np.sqrt(cov[0, 0])),
         time_dummies=beta[1:].copy(),
         dummy_periods=periods[1:].copy(),
-        method=LS_FE,
+        method=method,
         nobs=panel.nobs,
         n_entities=n_entities,
+        diagnostics=diagnostics,
     )
 
 
@@ -217,22 +222,10 @@ def fe_2sls(
     if missing:
         raise ValueError(f"unknown instruments: {missing}")
     design = _design(panel, instrument_spec)
-    y, _, X, _, Z, periods, n_entities = design
-    _check_rank(X, "FE design matrix")
-    _check_rank(Z, "instrument matrix")
-
-    k = X.shape[1]
-    dof = panel.nobs - n_entities - k
-    ZtZinv_Ztx = np.linalg.lstsq(Z, X, rcond=None)[0]
-    Xhat = Z @ ZtZinv_Ztx
-    XtPX = X.T @ Xhat
-    try:
-        XtPX_inv = np.linalg.inv(XtPX)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"projected design is singular: {exc}") from exc
-    beta = XtPX_inv @ (Xhat.T @ y)
+    y, _, X, _, _, _, n_entities = design
+    beta, XtPX_inv = _2sls_fit(design)
     resid = y - X @ beta
-    s2 = float(resid @ resid) / dof
+    s2 = float(resid @ resid) / (panel.nobs - n_entities - X.shape[1])
     cov = s2 * XtPX_inv
 
     diag = _iv_diagnostics(design, instrument_spec, beta)
@@ -243,17 +236,21 @@ def fe_2sls(
             WeakInstrumentWarning,
             stacklevel=2,
         )
-    return ElasticityEstimate(
-        parameter=parameter,
-        coef=float(beta[0]),
-        se=float(np.sqrt(cov[0, 0])),
-        time_dummies=beta[1:].copy(),
-        dummy_periods=periods[1:].copy(),
-        method=IV_FE,
-        nobs=panel.nobs,
-        n_entities=n_entities,
-        diagnostics=diag,
-    )
+    return _estimate(parameter, IV_FE, panel, design, beta, cov, diag)
+
+
+def _2sls_fit(design):
+    """The 2SLS coefficients of y on X = [x, D] with instruments Z, and
+    ``(X' P_Z X)^{-1}``."""
+    y, _, X, _, Z, _, _ = design
+    _check_rank(X, "FE design matrix")
+    _check_rank(Z, "instrument matrix")
+    Xhat = Z @ np.linalg.lstsq(Z, X, rcond=None)[0]
+    try:
+        XtPX_inv = np.linalg.inv(X.T @ Xhat)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"projected design is singular: {exc}") from exc
+    return XtPX_inv @ (Xhat.T @ y), XtPX_inv
 
 
 def iv_diagnostics(
@@ -269,8 +266,13 @@ def iv_diagnostics(
     full instrument set (chi-square with L - 1 dof), reported as None when
     just identified.  The endogeneity test augments the structural OLS with
     the first-stage residuals (Davidson-MacKinnon F with 1 numerator dof).
+    Without ``beta_2sls`` the residuals are those of the fit of ``fe_2sls``,
+    so the result equals its ``diagnostics``.
     """
-    return _iv_diagnostics(_design(panel, instrument_spec), instrument_spec, beta_2sls)
+    design = _design(panel, instrument_spec)
+    if beta_2sls is None:
+        beta_2sls = _2sls_fit(design)[0]
+    return _iv_diagnostics(design, instrument_spec, beta_2sls)
 
 
 def _iv_diagnostics(design, instrument_spec, beta_2sls):
@@ -290,9 +292,6 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
     first_stage_f = (ess / L) / (rss / dof_fs)
 
     # 2SLS residuals for the Sargan and endogeneity statistics.
-    if beta_2sls is None:
-        Xhat = Z @ np.linalg.lstsq(Z, X, rcond=None)[0]
-        beta_2sls = np.linalg.solve(X.T @ Xhat, Xhat.T @ y)
     u = y - X @ beta_2sls
 
     if L > 1:

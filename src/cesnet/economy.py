@@ -183,16 +183,34 @@ def save_economy(economy: Economy, io_table_path, elasticities_path) -> None:
     Values are written with shortest round-trip formatting, so a save/load
     cycle reproduces the coefficient arrays bit for bit.
     """
-    with open(io_table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sector", *economy.labels])
-        writer.writerow([PRIMARY_ROW_LABEL, *[repr(float(v)) for v in economy.a0]])
-        for i, lab in enumerate(economy.labels):
-            writer.writerow([lab, *[repr(float(v)) for v in economy.A[i]]])
-    with open(elasticities_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for lab, s in zip(economy.labels, economy.sigma):
-            writer.writerow([lab, repr(float(s))])
+    labels = economy.labels
+    write_csv(io_table_path, ["sector", *labels], [PRIMARY_ROW_LABEL, *labels],
+              *economy.augmented_coefficients().T)
+    write_csv(elasticities_path, None, labels, economy.sigma)
+
+
+def write_csv(path, header, *columns):
+    """Write a CSV file: the header row (none if ``header`` is None), then one
+    row per index of the columns.
+
+    A column is a float array, whose cells are written in shortest
+    round-trip form (the ``repr`` of the float, so a reader gets back the
+    same bits), or a list of labels, quoted as ``csv.writer`` quotes them.
+    The file is written in one pass, with ``csv.writer``'s CRLF line ends.
+    """
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray)
+             else map(_csv_cell, col) for col in columns]
+    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+    lines = [] if header is None else [",".join(map(_csv_cell, header))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([*lines, *rows, ""]))
+
+
+def _csv_cell(text):
+    """A text cell with the minimal quoting of ``csv.writer``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def benchmark_shares(economy: Economy) -> np.ndarray:
@@ -300,12 +318,20 @@ def _parse_io_table(path):
 def load_labelled_vector(path, labels, what) -> np.ndarray:
     """The values of a ``label,value`` CSV file, in the order of ``labels``.
 
-    A later label overrides an earlier one.  A row without exactly two
-    fields, a non-numeric value or a label with no row raises
-    :class:`MalformedTable`; ``what`` names the file.
+    A row without exactly two fields, a non-numeric value, a label on two
+    rows or a label with no row raises :class:`MalformedTable`; ``what``
+    names the file.
     """
-    _, rows, values = _value_column(path, what, 1, width=2)
-    found = dict(zip([row[0].strip() for row in rows], values.tolist()))
+    first, rows, values = _value_column(path, what, 1, width=2)
+    keys = [row[0].strip() for row in rows]
+    found = dict(zip(keys, values.tolist()))
+    if len(found) != len(keys):
+        seen = {}
+        for i, key in enumerate(keys, first):
+            if key in seen:
+                raise MalformedTable(
+                    f"label {key!r} on {what} rows {seen[key]} and {i}")
+            seen[key] = i
     missing = [lab for lab in labels if lab not in found]
     if missing:
         raise MalformedTable(f"{what} missing for sectors: {missing}")

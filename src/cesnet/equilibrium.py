@@ -27,7 +27,7 @@ from .economy import (
     check_shock,
     check_shock_matrix,
 )
-from .errors import NoPositiveSolution, SingularSystem
+from .errors import MalformedTable, NoPositiveSolution, SingularSystem
 
 #: Below this |gamma| the CES power form is replaced by its log-limit.
 GAMMA_SWITCH = 1e-8
@@ -111,27 +111,24 @@ def _cost_kernel(economy: Economy):
     aug = economy.augmented_coefficients()
     g = economy.gamma
     small = np.abs(g) < GAMMA_SWITCH
-    if not small.any():
-        inv = 1.0 / g
-
-        def power_costs(paug):
-            return np.einsum("ij,kij->kj", aug, paug[:, :, None] ** g) ** inv
-
-        return power_costs
     rest = ~small
-    aug_small, aug_rest = aug[:, small], aug[:, rest]
+    # C-contiguous, as the einsum is much slower on the F-ordered slice.
+    aug_small, aug_rest = aug[:, small], np.ascontiguousarray(aug[:, rest])
     g_rest = g[rest]
     inv_rest = 1.0 / g_rest
+    mixed = small.any()
 
     def costs(paug):
-        c = np.empty((paug.shape[0], g.size))
+        powers = paug[:, :, None] ** g_rest
+        c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
+        if not mixed:
+            return c
+        out = np.empty((paug.shape[0], g.size))
+        out[:, rest] = c
         # Row-by-row vector-matrix products, as for a single price vector.
         log_p = np.log(paug)[:, None, :]
-        c[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
-        if rest.any():
-            powers = paug[:, :, None] ** g_rest
-            c[:, rest] = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
-        return c
+        out[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
+        return out
 
     return costs
 
@@ -191,7 +188,8 @@ def solve_fixed_point_batch(
     ROUND_FLOATS), so that a long tail of a few slow rows costs little more
     than their sweeps.
     Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
-    for bit.  ``pi_init`` is an optional (K, n) matrix of starting prices.
+    for bit.  ``pi_init`` is an optional (K, n) matrix of starting prices;
+    a row that is not strictly positive raises what ``check_prices`` raises.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -200,6 +198,14 @@ def solve_fixed_point_batch(
     Z = check_shock_matrix(Z, economy.n)
     pi0 = check_numeraire(pi0)
     K, n = Z.shape
+    if pi_init is not None:
+        pi_init = np.asarray(pi_init, dtype=float)
+        if pi_init.shape != (K, n):
+            raise MalformedTable(
+                f"starting prices have shape {pi_init.shape}, expected {(K, n)}")
+        valid = np.all(np.isfinite(pi_init) & (pi_init > 0), axis=1)
+        if not valid.all():
+            check_prices(pi_init[np.argmin(valid)], n)
     costs = _cost_kernel(economy)
     paug = np.empty((K, n + 1))
     paug[:, 0] = pi0

@@ -8,7 +8,7 @@ so runs are reproducible regardless of how the draws are split into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -66,18 +66,9 @@ class DistributionSummary:
     samples: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        """JSON-ready summary (without the raw samples)."""
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "quantiles": self.quantiles,
-            "n_viable": self.n_viable,
-            "n_unviable": self.n_unviable,
-            "method": self.method,
-            "seed": self.seed,
-        }
+        """JSON-ready summary: every field but the raw samples."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "samples"}
 
 
 def shock_sample(n: int, config: ShockConfig, index: int) -> np.ndarray:

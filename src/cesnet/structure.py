@@ -32,16 +32,17 @@ class EquilibriumStructure:
 
 
 def _require_equilibrium(economy, pi, pi0, z):
+    """The validated ``(pi, pi0, z)`` and the unit costs at (pi0, pi)."""
     pi, pi0 = check_prices(pi, economy.n, pi0)
     z = check_shock(z, economy.n)
-    implied = unit_costs(economy, pi, pi0) / z
-    residual = float(np.max(np.abs(implied - pi) / pi))
+    c = unit_costs(economy, pi, pi0)
+    residual = float(np.max(np.abs(c / z - pi) / pi))
     if residual > EQUILIBRIUM_TOLERANCE:
         raise NotAnEquilibrium(
             f"relative equilibrium residual {residual:.3g} exceeds "
             f"{EQUILIBRIUM_TOLERANCE:g}"
         )
-    return pi, pi0, z
+    return pi, pi0, z, c
 
 
 def gradient_cost(economy: Economy, pi, pi0, z):
@@ -52,8 +53,7 @@ def gradient_cost(economy: Economy, pi, pi0, z):
     Uses the CES derivative ``a_ij pi_i^{gamma_j - 1} c_j^{1 - gamma_j}``,
     which is exact for every gamma including the Cobb-Douglas limit.
     """
-    pi, pi0, z = _require_equilibrium(economy, pi, pi0, z)
-    c = unit_costs(economy, pi, pi0)
+    pi, pi0, _, c = _require_equilibrium(economy, pi, pi0, z)
     g = economy.gamma
     paug = np.concatenate(([pi0], pi))
     full = (

@@ -35,7 +35,13 @@ from cesnet.equilibrium import (
     solve_uniform_ces,
     solve_uniform_ces_batch,
 )
-from cesnet.errors import NonPositiveValue, NoPositiveSolution, SingularSystem
+from cesnet.errors import (
+    MalformedTable,
+    NonPositivePrice,
+    NonPositiveValue,
+    NoPositiveSolution,
+    SingularSystem,
+)
 from cesnet.household import (
     COBB_DOUGLAS,
     GENERAL_CES,
@@ -237,6 +243,23 @@ def test_batch_raises_the_first_rows_error():
         real_gdp_growth_batch(e, prefs, Z, COBB_DOUGLAS)
     with pytest.raises(NonPositiveValue, match="nan"):
         solve_fixed_point_batch(e, Z)
+
+
+def test_batch_validates_its_starting_prices():
+    # The same errors as solve_fixed_point for each row's start, before any
+    # sweep.
+    e = random_economy(0, 3)
+    Z = np.ones((4, 3))
+    for bad in (np.nan, -1.0, 0.0):
+        start = np.ones((4, 3))
+        start[2, 1] = bad
+        with pytest.raises(NonPositivePrice) as batch_error:
+            solve_fixed_point_batch(e, Z, pi_init=start)
+        with pytest.raises(NonPositivePrice) as row_error:
+            solve_fixed_point(e, Z[2], pi_init=start[2])
+        assert str(batch_error.value) == str(row_error.value)
+    with pytest.raises(MalformedTable, match=r"shape \(4, 4\), expected \(4, 3\)"):
+        solve_fixed_point_batch(e, Z, pi_init=np.ones((4, 4)))
 
 
 def test_batch_validates_the_shocks_before_solving():

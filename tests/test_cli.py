@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cesnet.cli import _write_csv, load_config, main
+from cesnet.cli import load_config, main
+from cesnet.economy import write_csv
 from cesnet.household import HouseholdPrefs, real_gdp_growth
 from cesnet.montecarlo import hp_filter, qq_points
 
@@ -405,6 +406,18 @@ class TestGbm:
         assert float(rows[1][1]) == pytest.approx(est.mu_hat, rel=1e-12)
         assert rows[1][7] in ("yes", "no")
 
+    @pytest.mark.parametrize("cell", ["-2", "0", "nan", "inf"])
+    def test_bad_level_names_column_and_row(self, tmp_path, capsys, cell):
+        src = tmp_path / "levels.csv"
+        src.write_text(f"a,b\n\n1,{cell}\n1,3\n1,4\n2,5\n")
+        argv = ["gbm", "--input", str(src), "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert single_json_error(capsys) == {
+            "error": "NonPositiveValue",
+            "message": f"non-positive or non-finite level '{cell}' in level "
+                       "table column 'b' row 2",
+        }
+
 
 class TestEstimate:
     def write_panel(self, tmp_path, gamma=0.5, noise=0.1, seed=0):
@@ -718,6 +731,14 @@ class TestLoaderMessages:
         assert self.error(tmp_path, capsys, key, row3) == (
             f"non-numeric {what} 'x' in {name} row 3")
 
+    @pytest.mark.parametrize("key", ["elasticities", "prefs", "shocks"])
+    def test_label_on_two_rows(self, tmp_path, capsys, key):
+        # A second steel row, before the corn row.
+        _, rows, name, _ = self.FILES[key]
+        row3 = "\n".join(["steel,0.7", rows[2]])
+        assert self.error(tmp_path, capsys, key, row3) == (
+            f"label 'steel' on {name} rows 2 and 3")
+
     @pytest.mark.parametrize("key", [k for k in FILES if k not in ("qq", "hp")])
     def test_ragged_row(self, tmp_path, capsys, key):
         # A column file reads only the first cell of each row.
@@ -734,13 +755,14 @@ LABELS = st.text(st.sampled_from('ab ,"\r\n\'x\u00e9'), max_size=6)
 
 
 class TestCsvWriter:
-    """``_write_csv`` against ``csv.writer`` fed ``repr(float(v))`` cells."""
+    """``write_csv`` against ``csv.writer`` fed ``repr(float(v))`` cells."""
 
     @staticmethod
     def reference(header, labels, values):
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
-        writer.writerow(header)
+        if header is not None:
+            writer.writerow(header)
         for i, row in enumerate(values):
             lead = [] if labels is None else [labels[i]]
             writer.writerow([*lead, *(repr(float(v)) for v in row)])
@@ -759,11 +781,11 @@ class TestCsvWriter:
         ).reshape(rows, cols)
         labels = (data.draw(st.lists(LABELS, min_size=rows, max_size=rows))
                   if labelled else None)
-        header = data.draw(st.lists(LABELS.filter(bool), min_size=1,
-                                    max_size=cols + labelled))
+        header = data.draw(st.none() | st.lists(LABELS.filter(bool), min_size=1,
+                                                max_size=cols + labelled))
         path = tmp_path / "out.csv"
         columns = ([] if labels is None else [labels]) + list(values.T)
-        _write_csv(path, header, *columns)
+        write_csv(path, header, *columns)
         assert path.read_bytes() == self.reference(header, labels, values)
 
 

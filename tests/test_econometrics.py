@@ -206,6 +206,16 @@ class TestFe2sls:
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_to_the_diagnostics_of_fe_2sls(self, seed):
+        # Both come from one 2SLS fit, so they agree in every bit.  The
+        # panels are overidentified: only Sargan reads the 2SLS residuals.
+        names = ("iv1", "iv2", "iv3")
+        spec = list(names[: 2 + seed % 2])
+        p = make_panel(n_entities=20 + 7 * seed, noise=0.3, seed=100 + seed,
+                       endogeneity=0.5 * (seed % 3), instruments=names)
+        assert iv_diagnostics(p, spec) == fe_2sls(p, spec).diagnostics
+
     def test_just_identified_has_no_sargan(self):
         p = make_panel(noise=0.3, seed=11)
         d = iv_diagnostics(p, ["iv1"])

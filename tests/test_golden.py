@@ -11,6 +11,11 @@ any change of the output bytes.  Each run is repeated with three workers
 The ``estimate.json`` digests pin an LS and an IV run on a shuffled panel
 with period gaps, recorded with the per-entity mask-scan instrument
 transform and a fit that built its design twice.
+
+The ``structure`` outputs of an economy with log-limit sectors
+(|gamma| < GAMMA_SWITCH) and the two ``save_economy`` files of labels that
+need quoting were recorded with separate cost kernels for economies with and
+without such sectors and with ``csv.writer`` in ``save_economy``.
 """
 
 import csv
@@ -119,3 +124,53 @@ def test_estimate_output_pinned(tmp_path, run, flags):
     write_golden_panel(panel)
     assert main(["estimate", "--panel", str(panel), *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ESTIMATE[run]
+
+
+def log_limit_economy():
+    """The mixed ten-sector economy with one Cobb-Douglas sector (gamma = 0)
+    and one just inside the log-limit switch (gamma = 1e-10)."""
+    economy = random_economy(42, 10)
+    gamma = economy.gamma.copy()
+    gamma[[2, 5]] = 0.0, 1e-10
+    return random_economy(42, 10, gamma=gamma)
+
+
+STRUCTURE = {
+    "b_matrix.csv": "f7c3d0cb64525d97aa79d389e0b8f296dc3f95bf8465b197062968632c707fe3",
+    "s_matrix.csv": "0b1b277598c3b7172009a4b954904da4d445df1027e8f3643533e82ce46a0479",
+    "structure.json": "da4dd14ffd6c9dcc578b929c0f478b374a9392a937b43973f0899081e641303f",
+}
+
+
+def test_structure_outputs_with_log_limit_sectors_pinned(tmp_path):
+    economy = log_limit_economy()
+    io_path, el_path, z_path = (tmp_path / f for f in ("io.csv", "el.csv", "z.csv"))
+    save_economy(economy, io_path, el_path)
+    z = np.exp(np.random.default_rng(3).normal(0.0, 0.2, economy.n))
+    z_path.write_text(
+        "".join(f"{lab},{float(v)!r}\n" for lab, v in zip(economy.labels, z))
+    )
+    out = tmp_path / "out"
+    assert main([
+        "structure", "--economy", str(io_path), "--elasticities", str(el_path),
+        "--shocks", str(z_path), "--outdir", str(out),
+    ]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == STRUCTURE
+
+
+SAVED_ECONOMY = {
+    "io.csv": "4f727b46d8968889b05c66cf43b1e9509f7ce61fbb9510c8d5449f2af9350ed6",
+    "el.csv": "fd4162736e92e70ec5d2c7b2b191d29c87062a3d1be6dfdeb38238ef1333d7b9",
+}
+
+
+def test_saved_economy_with_quoted_labels_pinned(tmp_path):
+    """Labels with a comma, a quote, a line break and spaces are quoted as
+    ``csv.writer`` quotes them."""
+    base = random_economy(7, 5)
+    labels = ("a,b", 'say "hi"', "two\nlines", " padded ", "plain")
+    economy = type(base)(labels=labels, A=base.A, a0=base.a0, gamma=base.gamma)
+    save_economy(economy, tmp_path / "io.csv", tmp_path / "el.csv")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SAVED_ECONOMY} == SAVED_ECONOMY
