@@ -42,7 +42,6 @@ from .econometrics import (
     PanelDataset,
     fe_2sls,
     fe_ols,
-    household_regression,
     iv_diagnostics,
     recover_productivity,
     within_transform,

@@ -6,6 +6,11 @@ time dummies; the slope on log factor prices identifies gamma (and sigma =
 Prices may be instrumented; diagnostics are the Cragg-Donald first-stage F,
 the Sargan overidentification statistic and the Davidson-MacKinnon
 endogeneity F.
+
+Each failure condition has one owner: ``PanelDataset`` rejects a repeated
+(entity, period) pair when it is built, ``_lstsq`` (the one least-squares
+solve) rejects a rank-deficient matrix, and ``_residual_dof`` rejects a fit
+without residual degrees of freedom.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class PanelDataset:
 
     ``y`` holds log shares, ``x`` log factor prices; ``instruments`` maps
     instrument names to columns aligned with the observations.  Rows with a
-    nonfinite y, x or instrument value are dropped at construction.
+    nonfinite y, x or instrument value are dropped at construction; two kept
+    rows with one (entity, period) pair raise DuplicateObservation.
     """
 
     entity: np.ndarray
@@ -64,8 +70,19 @@ class PanelDataset:
         keep = np.isfinite(y) & np.isfinite(x)
         for v in instruments.values():
             keep &= np.isfinite(v)
-        object.__setattr__(self, "entity", entity[keep])
-        object.__setattr__(self, "period", period[keep])
+        entity, period = entity[keep], period[keep]
+        # Sorted by (entity, period), a repeated pair's rows are adjacent and
+        # the first such pair is the smallest.
+        order = np.lexsort((period, entity))
+        e, t = entity[order], period[order]
+        twin = np.flatnonzero((e[1:] == e[:-1]) & (t[1:] == t[:-1]))
+        if twin.size:
+            raise DuplicateObservation(
+                f"entity {e[twin[0]].item()!r} has more than one row "
+                f"for period {t[twin[0]].item()!r}"
+            )
+        object.__setattr__(self, "entity", entity)
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "y", y[keep])
         object.__setattr__(self, "x", x[keep])
         object.__setattr__(
@@ -121,7 +138,7 @@ class ElasticityEstimate:
 
 def within_transform(panel: PanelDataset) -> PanelDataset:
     """Demean y, x and every instrument by entity over included periods."""
-    demean = _entity_demeaner(panel.entity)[0]
+    demean, _ = _entity_demeaner(panel.entity)
     return replace(
         panel,
         y=demean(panel.y),
@@ -141,23 +158,15 @@ def _entity_demeaner(entity):
         means = np.bincount(inverse, weights=v) / counts
         return v - means[inverse]
 
-    return demean, codes, inverse
+    return demean, codes.size
 
 
 def _design(panel: PanelDataset, instrument_spec=()):
     """Entity-demeaned response y, price x, time dummies D = [D_2..D_T],
     regressors X = [x, D] and instruments Z = [named instruments, D].
-
-    Raises DuplicateObservation when an (entity, period) pair has two rows.
     """
-    demean, entities, e = _entity_demeaner(panel.entity)
+    demean, n_entities = _entity_demeaner(panel.entity)
     periods, t = np.unique(panel.period, return_inverse=True)
-    # Integer (entity, period) keys, sorted: a pair's rows are adjacent.
-    key = np.sort(e * periods.size + t)
-    twin = np.flatnonzero(key[1:] == key[:-1])
-    if twin.size:
-        i, j = divmod(int(key[twin[0]]), periods.size)
-        raise _duplicate(entities[i], periods[j])
     if periods.size < 2:
         raise RankDeficient("need at least two periods for time dummies")
     D = np.column_stack(
@@ -167,12 +176,7 @@ def _design(panel: PanelDataset, instrument_spec=()):
     x = demean(panel.x)
     X = np.column_stack([x, D])
     Z = np.column_stack([*(demean(panel.instruments[k]) for k in instrument_spec), D])
-    return y, x, X, D, Z, periods, entities.size
-
-
-def _check_rank(M, what):
-    if np.linalg.matrix_rank(M) < M.shape[1]:
-        raise RankDeficient(f"{what} is rank deficient")
+    return y, x, X, D, Z, periods, n_entities
 
 
 def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
@@ -182,9 +186,8 @@ def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
     ``nobs - n_entities - k``.
     """
     design = _design(panel)
-    y, _, X, _, _, _, n_entities = design
-    _check_rank(X, "FE design matrix")
-    beta, cov = _ols_fit(y, X, dof=panel.nobs - n_entities - X.shape[1])
+    _, _, X, *_ = design
+    beta, cov = _ols_fit(design, X, "FE design matrix")
     return _estimate(parameter, LS_FE, panel, design, beta, cov)
 
 
@@ -222,10 +225,10 @@ def fe_2sls(
     if missing:
         raise ValueError(f"unknown instruments: {missing}")
     design = _design(panel, instrument_spec)
-    y, _, X, _, _, _, n_entities = design
+    y, _, X, *_ = design
     beta, XtPX_inv = _2sls_fit(design)
     resid = y - X @ beta
-    s2 = float(resid @ resid) / (panel.nobs - n_entities - X.shape[1])
+    s2 = float(resid @ resid) / _residual_dof(design, X.shape[1])
     cov = s2 * XtPX_inv
 
     diag = _iv_diagnostics(design, instrument_spec, beta)
@@ -243,9 +246,11 @@ def _2sls_fit(design):
     """The 2SLS coefficients of y on X = [x, D] with instruments Z, and
     ``(X' P_Z X)^{-1}``."""
     y, _, X, _, Z, _, _ = design
-    _check_rank(X, "FE design matrix")
-    _check_rank(Z, "instrument matrix")
-    Xhat = Z @ np.linalg.lstsq(Z, X, rcond=None)[0]
+    # The projection's solve checks Z's rank; X enters no least-squares
+    # solve, so its rank is checked here.
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise RankDeficient("FE design matrix is rank deficient")
+    Xhat = Z @ _lstsq(Z, X, "instrument matrix")
     try:
         XtPX_inv = np.linalg.inv(X.T @ Xhat)
     except np.linalg.LinAlgError as exc:
@@ -253,11 +258,7 @@ def _2sls_fit(design):
     return XtPX_inv @ (Xhat.T @ y), XtPX_inv
 
 
-def iv_diagnostics(
-    panel: PanelDataset,
-    instrument_spec: list[str],
-    beta_2sls=None,
-) -> IvDiagnostics:
+def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnostics:
     """First-stage (Cragg-Donald) F, Sargan statistic and endogeneity F.
 
     With one endogenous regressor the Cragg-Donald statistic reduces to the
@@ -266,13 +267,11 @@ def iv_diagnostics(
     full instrument set (chi-square with L - 1 dof), reported as None when
     just identified.  The endogeneity test augments the structural OLS with
     the first-stage residuals (Davidson-MacKinnon F with 1 numerator dof).
-    Without ``beta_2sls`` the residuals are those of the fit of ``fe_2sls``,
-    so the result equals its ``diagnostics``.
+    The residuals are those of the fit of ``fe_2sls``, so the result equals
+    its ``diagnostics``.
     """
     design = _design(panel, instrument_spec)
-    if beta_2sls is None:
-        beta_2sls = _2sls_fit(design)[0]
-    return _iv_diagnostics(design, instrument_spec, beta_2sls)
+    return _iv_diagnostics(design, instrument_spec, _2sls_fit(design)[0])
 
 
 def _iv_diagnostics(design, instrument_spec, beta_2sls):
@@ -283,19 +282,20 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
 
     # First-stage F: partial the dummies out of x and the excluded
     # instruments, then test the joint significance of the instruments.
-    x_t = _residualize(x, D)
-    V_t = np.column_stack([_residualize(col, D) for col in V.T])
-    fitted = V_t @ np.linalg.lstsq(V_t, x_t, rcond=None)[0]
+    x_t = x - D @ _lstsq(D, x, "time dummy matrix")
+    V_t = np.column_stack(
+        [col - D @ _lstsq(D, col, "time dummy matrix") for col in V.T]
+    )
+    fitted = V_t @ _lstsq(V_t, x_t, "partialled instrument matrix")
     rss = float(((x_t - fitted) ** 2).sum())
     ess = float((fitted**2).sum())
-    dof_fs = n - n_entities - D.shape[1] - L
-    first_stage_f = (ess / L) / (rss / dof_fs)
+    first_stage_f = (ess / L) / (rss / _residual_dof(design, D.shape[1] + L))
 
     # 2SLS residuals for the Sargan and endogeneity statistics.
     u = y - X @ beta_2sls
 
     if L > 1:
-        u_fit = Z @ np.linalg.lstsq(Z, u, rcond=None)[0]
+        u_fit = Z @ _lstsq(Z, u, "instrument matrix")
         r2 = float(u_fit @ u_fit) / float(u @ u)
         # Entity demeaning removes one dimension per entity, so the
         # effective sample size of the N R^2 statistic is n - n_entities;
@@ -308,7 +308,7 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
 
     # Davidson-MacKinnon: add the first-stage residuals to the OLS
     # regression; their significance signals endogeneity of x.
-    v_hat = x - Z @ np.linalg.lstsq(Z, x, rcond=None)[0]
+    v_hat = x - Z @ _lstsq(Z, x, "instrument matrix")
     if np.linalg.norm(v_hat) <= 1e-10 * max(np.linalg.norm(x), 1.0):
         # The instruments predict x exactly, so there is no first-stage
         # residual to test; x is exogenous by construction.
@@ -316,11 +316,12 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         endogeneity_p = 1.0
     else:
         X_aug = np.column_stack([X, v_hat])
-        dof_aug = n - n_entities - X_aug.shape[1]
-        beta_aug, cov_aug = _ols_fit(y, X_aug, dof=dof_aug)
+        beta_aug, cov_aug = _ols_fit(design, X_aug, "augmented design matrix")
         t_v = beta_aug[-1] / np.sqrt(cov_aug[-1, -1])
         endogeneity_f = float(t_v**2)
-        endogeneity_p = float(stats.f.sf(endogeneity_f, 1, dof_aug))
+        endogeneity_p = float(
+            stats.f.sf(endogeneity_f, 1, _residual_dof(design, X_aug.shape[1]))
+        )
 
     return IvDiagnostics(
         first_stage_f=float(first_stage_f),
@@ -330,20 +331,6 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         endogeneity_p=endogeneity_p,
         instruments=tuple(instrument_spec),
     )
-
-
-def household_regression(
-    panel: PanelDataset,
-    instrument_spec: list[str] | None = None,
-) -> ElasticityEstimate:
-    """Expenditure-share regression: the slope on log prices is kappa.
-
-    Same machinery as the production regression, but the coefficient is the
-    utility curvature itself rather than 1 - sigma.
-    """
-    if instrument_spec:
-        return fe_2sls(panel, instrument_spec, parameter="kappa")
-    return fe_ols(panel, parameter="kappa")
 
 
 def recover_productivity(estimate: ElasticityEstimate, output_prices) -> np.ndarray:
@@ -388,14 +375,11 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     col_name = f"{transform}_{name}"
     if col_name in panel.instruments:
         return col_name, panel
-    # After one sort by (entity, period), a row's neighbour is the next row
-    # in sorted order when both belong to the same entity.
+    # The panel's (entity, period) pairs are distinct, so after one sort by
+    # them a row's neighbour is the next row when both share an entity.
     order = np.lexsort((panel.period, panel.entity))
-    entity, period = panel.entity[order], panel.period[order]
+    entity = panel.entity[order]
     same = entity[1:] == entity[:-1]
-    twin = np.flatnonzero(same & (period[1:] == period[:-1]))
-    if twin.size:
-        raise _duplicate(entity[twin[0]], period[twin[0]])
     v = panel.instruments[name][order]
     lo, hi = v[:-1][same], v[1:][same]
     out = np.full(panel.nobs, np.nan)
@@ -416,23 +400,31 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     )
 
 
-def _duplicate(entity, period):
-    return DuplicateObservation(
-        f"entity {entity.item()!r} has more than one row for period {period.item()!r}"
-    )
+def _lstsq(M, v, what):
+    """Least-squares coefficients of v on the columns of M, which must have
+    full column rank; ``what`` names M in the error."""
+    coef, _, rank, _ = np.linalg.lstsq(M, v, rcond=None)
+    if rank < M.shape[1]:
+        raise RankDeficient(f"{what} is rank deficient")
+    return coef
 
 
-def _residualize(v, basis):
-    return v - basis @ np.linalg.lstsq(basis, v, rcond=None)[0]
-
-
-def _ols_fit(y, X, dof):
+def _residual_dof(design, k):
+    """Residual degrees of freedom of a fit with k regressors on the
+    entity-demeaned ``design``: one is spent on each entity mean."""
+    y, *_, n_entities = design
+    dof = y.size - n_entities - k
     if dof <= 0:
         raise RankDeficient("no residual degrees of freedom")
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise RankDeficient("design matrix is rank deficient")
+    return dof
+
+
+def _ols_fit(design, X, what):
+    """OLS of the response of ``design`` on X with the fixed-effects
+    residual degrees of freedom; the coefficients and their covariance."""
+    y = design[0]
+    beta = _lstsq(X, y, what)
     resid = y - X @ beta
-    s2 = float(resid @ resid) / dof
+    s2 = float(resid @ resid) / _residual_dof(design, X.shape[1])
     cov = s2 * np.linalg.inv(X.T @ X)
     return beta, cov

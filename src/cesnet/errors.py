@@ -86,7 +86,8 @@ class UnknownInstrument(CesnetError, ValueError):
 
 
 class RankDeficient(CesnetError):
-    """Design matrix is rank deficient after the within transform."""
+    """A regression matrix is rank deficient after the within transform, or
+    a fit has no residual degrees of freedom."""
 
 
 class GammaNearZero(CesnetError):

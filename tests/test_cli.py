@@ -528,6 +528,26 @@ class TestEstimate:
             "message": "entity 'e3' has more than one row for period 2",
         }
 
+    def test_first_stage_without_residual_dof(self, tmp_path, capsys):
+        # 6 rows less 3 entity means, D_2 and two instruments leave the
+        # first stage no residual degrees of freedom.
+        rng = np.random.default_rng(24)
+        rows = [["entity", "period", "share", "price", "inst_w", "inst_v"]]
+        for i in range(3):
+            for t in (1, 2):
+                cells = [*rng.uniform(0.1, 0.9, 2), *rng.normal(0, 1, 2)]
+                rows.append([f"e{i}", t, *(repr(float(c)) for c in cells)])
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rc = main(["estimate", "--panel", str(path), "--method", "iv",
+                   "--iv", "w,v"])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "RankDeficient",
+            "message": "no residual degrees of freedom",
+        }
+
     def test_duplicate_rows_rejected_by_transform(self, tmp_path, capsys):
         path = self.write_panel(tmp_path)
         with open(path, newline="") as fh:

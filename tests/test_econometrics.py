@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from cesnet.econometrics import (
     apply_instrument_transform,
     fe_2sls,
     fe_ols,
-    household_regression,
     iv_diagnostics,
     recover_productivity,
     within_transform,
@@ -76,6 +77,39 @@ class TestPanelDataset:
                 x=np.zeros(2),
                 instruments={"iv": np.zeros(3)},
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_duplicate_pair_rejected_iff_it_survives_the_mask(data):
+    """PanelDataset rejects a repeated (entity, period) pair exactly when two
+    rows with it keep finite cells, and names the smallest such pair; the
+    reference counts the kept pairs in plain Python."""
+    label = (lambda e: f"s{e}") if data.draw(st.booleans(), label="strings") else int
+    cell = st.floats(-1, 1) | st.just(float("nan"))
+    rows = data.draw(st.lists(
+        st.tuples(st.integers(-2, 3).map(label), st.integers(-2, 3),
+                  cell, cell, cell),
+        max_size=24))
+    kept = [(e, t) for e, t, *cells in rows if not np.isnan(cells).any()]
+    repeated = sorted(pair for pair, n in Counter(kept).items() if n > 1)
+
+    def build():
+        return PanelDataset(
+            entity=np.array([r[0] for r in rows]),
+            period=np.array([r[1] for r in rows], dtype=int),
+            y=np.array([r[2] for r in rows]),
+            x=np.array([r[3] for r in rows]),
+            instruments={"w": np.array([r[4] for r in rows])},
+        )
+
+    if repeated:
+        e, t = repeated[0]
+        with pytest.raises(DuplicateObservation) as info:
+            build()
+        assert str(info.value) == f"entity {e!r} has more than one row for period {t!r}"
+    else:
+        assert build().nobs == len(kept)
 
 
 class TestWithinTransform:
@@ -204,6 +238,12 @@ class TestFe2sls:
         with pytest.raises(ValueError):
             fe_2sls(p, ["nope"])
 
+    def test_no_residual_dof_rejected(self):
+        # 4 rows less 2 entity means less [x, D_2] leave no residual dof.
+        p = make_panel(n_entities=2, n_periods=2, noise=0.3, seed=23)
+        with pytest.raises(RankDeficient, match="no residual degrees of freedom"):
+            fe_2sls(p, ["iv1"])
+
 
 class TestDiagnostics:
     @pytest.mark.parametrize("seed", range(6))
@@ -261,14 +301,14 @@ class TestDiagnostics:
 class TestHouseholdRegression:
     def test_kappa_recovery_without_noise(self):
         p = make_panel(gamma=0.4, noise=0.0, seed=16)
-        est = household_regression(p)
+        est = fe_ols(p, parameter="kappa")
         assert est.parameter == "kappa"
         assert est.coef == pytest.approx(0.4, abs=1e-10)
         assert est.sigma_hat is None
 
     def test_iv_route(self):
         p = make_panel(gamma=0.4, noise=0.2, seed=17)
-        est = household_regression(p, ["iv1"])
+        est = fe_2sls(p, ["iv1"], parameter="kappa")
         assert est.method == IV_FE
         assert est.coef == pytest.approx(0.4, abs=4 * est.se)
 
@@ -307,7 +347,7 @@ class TestRecoverProductivity:
 
     def test_needs_gamma_estimate(self):
         p = make_panel(gamma=0.3, noise=0.0, seed=21)
-        est = household_regression(p)
+        est = fe_ols(p, parameter="kappa")
         with pytest.raises(ValueError):
             recover_productivity(est, np.ones(p.periods.size))
 
@@ -360,18 +400,17 @@ class TestInstrumentTransforms:
         assert p.nobs == base.nobs - base.entities.size
 
     def test_duplicate_entity_period_rejected(self):
-        # Two period-2 rows of one entity would pair with each other.
-        p = PanelDataset(
-            entity=np.array(["a", "a", "a", "a"]),
-            period=np.array([1, 2, 2, 3]),
-            y=np.zeros(4),
-            x=np.zeros(4),
-            instruments={"w": np.array([0.0, 1.0, 2.0, 3.0])},
-        )
-        for token in ("lw", "fw", "dw"):
-            with pytest.raises(DuplicateObservation,
-                               match=r"^entity 'a' .* for period 2$"):
-                apply_instrument_transform(p, token)
+        # Two period-2 rows of one entity would pair with each other; the
+        # panel refuses them before any transform can run.
+        with pytest.raises(DuplicateObservation,
+                           match=r"^entity 'a' .* for period 2$"):
+            PanelDataset(
+                entity=np.array(["a", "a", "a", "a"]),
+                period=np.array([1, 2, 2, 3]),
+                y=np.zeros(4),
+                x=np.zeros(4),
+                instruments={"w": np.array([0.0, 1.0, 2.0, 3.0])},
+            )
 
 
 def reference_transform(panel, token):
