@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -134,7 +135,11 @@ def _build_parser(config_items):
         opt(p, "--count", type=_positive_int, default=10000)
         opt(p, "--sigma", type=_positive_float, default=0.2)
         opt(p, "--seed", type=int, default=DEFAULT_SEED)
-        opt(p, "--workers", type=_positive_int, default=1)
+        opt(p, "--workers", type=_positive_int, default=_usable_cpus(),
+            help="threads that solve the blocks of draws (default: the CPUs "
+                 "this process may use); a run too small to pay for a thread "
+                 "pool is solved inline, and outputs are byte-identical for "
+                 "any value")
         opt(p, "--outdir", default=".")
 
     p = add("solve", _cmd_solve, "solve equilibrium prices for a shock")
@@ -196,6 +201,14 @@ def _build_parser(config_items):
     sampling_opts(p)
 
     return parser
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _positive_float(text):
@@ -302,19 +315,28 @@ def _cmd_simulate(args) -> int:
     summary = mc.simulate_distribution(
         economy, prefs, config, method=args.method, workers=args.workers
     )
-    _write_summary_files(_outdir(args), args.method, summary)
+    _write_summary_files(_outdir(args), args.method, summary, {})
     return 0
 
 
-def _write_summary_files(out, method, summary):
+def _write_summary_files(out, method, summary, qq_cells):
+    """Write the summary, sample and QQ files of one method.
+
+    The QQ ``theoretical`` column depends only on the number of viable
+    draws, so its formatted cells are kept in ``qq_cells`` by that number
+    and shared by methods with equal counts.
+    """
     tag = method.replace("-", "_")
     _write_json(out / f"summary_{tag}.json", summary.to_dict())
     econ.write_csv(out / f"samples_{tag}.csv", ["ln_h"], summary.samples)
     # QQ points need at least 3 distinct draws; tiny runs still get a
     # valid summary and sample file.
     if summary.samples.size >= 3 and np.ptp(summary.samples) > 0:
-        pairs = mc.qq_points(summary.samples)
-        econ.write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"], *pairs.T)
+        theoretical, sample = mc.qq_points(summary.samples).T
+        if theoretical.size not in qq_cells:
+            qq_cells[theoretical.size] = list(map(repr, theoretical.tolist()))
+        econ.write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"],
+                       qq_cells[theoretical.size], sample)
 
 
 def _cmd_qq(args) -> int:
@@ -431,6 +453,7 @@ def _cmd_experiment(args) -> int:
 
     report = {"seed": args.seed, "count": args.count, "sigma": args.sigma,
               "methods": {}}
+    qq_cells = {}
     for method in METHODS:
         entry = {"shock_stream_sha256": shock_hash}
         try:
@@ -442,7 +465,7 @@ def _cmd_experiment(args) -> int:
             entry["message"] = str(exc)
         else:
             entry.update(summary.to_dict())
-            _write_summary_files(out, method, summary)
+            _write_summary_files(out, method, summary, qq_cells)
         report["methods"][method] = entry
     means = {m: e["mean"] for m, e in report["methods"].items() if "mean" in e}
     report["mean_ordering"] = sorted(means, key=means.get)

@@ -8,9 +8,10 @@ the Sargan overidentification statistic and the Davidson-MacKinnon
 endogeneity F.
 
 Each failure condition has one owner: ``PanelDataset`` rejects a repeated
-(entity, period) pair when it is built, ``_lstsq`` (the one least-squares
-solve) rejects a rank-deficient matrix, and ``_residual_dof`` rejects a fit
-without residual degrees of freedom.
+(entity, period) pair when it is built, ``_iv_design`` rejects an empty or
+unknown instrument list, ``_lstsq`` (the one least-squares solve) rejects a
+rank-deficient matrix, and ``_residual_dof`` rejects a fit without residual
+degrees of freedom.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from scipy import stats
 from .errors import (
     DuplicateObservation,
     GammaNearZero,
+    MalformedTable,
     RankDeficient,
     SingletonEntity,
     UnknownInstrument,
@@ -179,6 +181,17 @@ def _design(panel: PanelDataset, instrument_spec=()):
     return y, x, X, D, Z, periods, n_entities
 
 
+def _iv_design(panel: PanelDataset, instrument_spec):
+    """``_design`` with instruments, after checking that the list is not
+    empty and names only panel instruments."""
+    if not instrument_spec:
+        raise MalformedTable("IV estimation needs at least one instrument")
+    missing = [k for k in instrument_spec if k not in panel.instruments]
+    if missing:
+        raise UnknownInstrument(f"unknown instruments: {missing}")
+    return _design(panel, instrument_spec)
+
+
 def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
     """Within (FE) least squares of demeaned y on demeaned [x, time dummies].
 
@@ -219,12 +232,7 @@ def fe_2sls(
     Diagnostics (first-stage F, Sargan when overidentified, Davidson-
     MacKinnon endogeneity F) are attached to the estimate.
     """
-    if not instrument_spec:
-        raise ValueError("need at least one instrument")
-    missing = [k for k in instrument_spec if k not in panel.instruments]
-    if missing:
-        raise ValueError(f"unknown instruments: {missing}")
-    design = _design(panel, instrument_spec)
+    design = _iv_design(panel, instrument_spec)
     y, _, X, *_ = design
     beta, XtPX_inv = _2sls_fit(design)
     resid = y - X @ beta
@@ -270,7 +278,7 @@ def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnos
     The residuals are those of the fit of ``fe_2sls``, so the result equals
     its ``diagnostics``.
     """
-    design = _design(panel, instrument_spec)
+    design = _iv_design(panel, instrument_spec)
     return _iv_diagnostics(design, instrument_spec, _2sls_fit(design)[0])
 
 

@@ -10,6 +10,7 @@ therefore sum to one.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,9 +207,12 @@ def write_csv(path, header, *columns):
         fh.write("\r\n".join([*lines, *rows, ""]))
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _csv_cell(text):
     """A text cell with the minimal quoting of ``csv.writer``."""
-    if any(c in text for c in ',"\r\n'):
+    if _NEEDS_QUOTES(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 

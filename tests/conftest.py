@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cesnet import montecarlo
 from cesnet.economy import Economy
 
 
@@ -30,6 +31,13 @@ def random_shares(seed, n):
 @pytest.fixture
 def econ4():
     return random_economy(0, 4)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Drop the work floor, so that a multi-worker run of any size splits
+    into several blocks and solves them on a thread pool."""
+    monkeypatch.setattr(montecarlo, "MIN_BLOCK_FLOATS", 1)
 
 
 def pytest_runtest_logreport(report):

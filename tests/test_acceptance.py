@@ -300,6 +300,7 @@ def test_criterion_10_econometrics_recovery():
     assert est.diagnostics.first_stage_f > 10
 
 
+@pytest.mark.usefixtures("force_pool")
 def test_criterion_11_experiment_determinism(tmp_path):
     """Same seed gives byte-identical outputs under 1 and 8 workers."""
     e = random_economy(6, 4)

@@ -272,6 +272,7 @@ def test_batch_validates_the_shocks_before_solving():
         real_gdp_growth_batch(e, prefs, [[1.0, 1.0], [np.nan, 1.0]], COBB_DOUGLAS)
 
 
+@pytest.mark.usefixtures("force_pool")
 @pytest.mark.parametrize("method", METHODS)
 def test_distribution_independent_of_blocks(monkeypatch, method):
     # Inelastic economy under large shocks: unviable Leontief draws and a

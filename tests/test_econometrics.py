@@ -19,8 +19,10 @@ from cesnet.econometrics import (
 from cesnet.errors import (
     DuplicateObservation,
     GammaNearZero,
+    MalformedTable,
     RankDeficient,
     SingletonEntity,
+    UnknownInstrument,
     WeakInstrumentWarning,
 )
 
@@ -255,6 +257,18 @@ class TestDiagnostics:
         p = make_panel(n_entities=20 + 7 * seed, noise=0.3, seed=100 + seed,
                        endogeneity=0.5 * (seed % 3), instruments=names)
         assert iv_diagnostics(p, spec) == fe_2sls(p, spec).diagnostics
+
+    @pytest.mark.parametrize("fit", [fe_2sls, iv_diagnostics])
+    def test_unknown_instrument(self, fit):
+        p = make_panel(seed=10)
+        with pytest.raises(UnknownInstrument, match=r"\['nope'\]"):
+            fit(p, ["iv1", "nope"])
+
+    @pytest.mark.parametrize("fit", [fe_2sls, iv_diagnostics])
+    def test_empty_instrument_list(self, fit):
+        p = make_panel(seed=10)
+        with pytest.raises(MalformedTable, match="at least one instrument"):
+            fit(p, [])
 
     def test_just_identified_has_no_sargan(self):
         p = make_panel(noise=0.3, seed=11)

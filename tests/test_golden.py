@@ -5,8 +5,9 @@ runs: the mixed-elasticity ten-sector economy of the acceptance criteria,
 and an inelastic economy (gamma = 0.9) under large shocks (sigma = 0.5),
 where two of the 300 Leontief draws are unviable.  The digests were recorded
 with the per-draw scalar solver, so they guard the batched engine against
-any change of the output bytes.  Each run is repeated with three workers
-(chunks).
+any change of the output bytes.  Each run is repeated with three workers,
+with the work floor dropped so that they solve three blocks on a thread
+pool.
 
 The ``estimate.json`` digests pin an LS and an IV run on a shuffled panel
 with period gaps, recorded with the per-entity mask-scan instrument
@@ -74,12 +75,14 @@ def experiment_digests(tmp_path, economy, sigma, workers):
             for p in sorted(out.iterdir())}
 
 
+@pytest.mark.usefixtures("force_pool")
 @pytest.mark.parametrize("workers", [1, 3])
 def test_mixed_elasticity_outputs_pinned(tmp_path, workers):
     economy = random_economy(42, 10)
     assert experiment_digests(tmp_path, economy, 0.2, workers) == MIXED
 
 
+@pytest.mark.usefixtures("force_pool")
 @pytest.mark.parametrize("workers", [1, 3])
 def test_inelastic_outputs_with_unviable_draws_pinned(tmp_path, workers):
     economy = random_economy(42, 10, gamma=0.9)

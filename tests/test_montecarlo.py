@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from cesnet.errors import DegenerateSample, SeriesTooShort, TooFewSamples
-from cesnet.household import COBB_DOUGLAS, GENERAL_CES, LEONTIEF, HouseholdPrefs
+from cesnet import montecarlo
+from cesnet.economy import check_shock
+from cesnet.errors import (
+    DegenerateSample,
+    NonPositiveValue,
+    SeriesTooShort,
+    TooFewSamples,
+)
+from cesnet.household import (
+    COBB_DOUGLAS,
+    GENERAL_CES,
+    LEONTIEF,
+    METHODS,
+    HouseholdPrefs,
+)
 from cesnet.montecarlo import (
     QUANTILE_GRID,
     ShockConfig,
+    distribution_from_shocks,
     hp_filter,
     price_index_dispersion,
     qq_points,
@@ -70,8 +87,22 @@ class TestShockStream:
         with pytest.raises(ValueError, match="sigma"):
             ShockConfig(sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma, mean, first_bad", [
+        (200.0, 0.0, 575), (800.0, 0.0, 0), (0.2, 750.0, 0), (0.2, -750.0, 0)])
+    def test_overflowing_stream_names_first_bad_draw(self, sigma, mean,
+                                                     first_bad):
+        # exp overflows to inf above about 709 and underflows to 0 below
+        # about -745; at sigma 200 only draw 575 of the first 1000 does.
+        cfg = ShockConfig(count=1000, sigma=sigma, seed=13, mean=mean)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveValue,
+                               match=f"draw {first_bad} of seed 13 "):
+                shock_matrix(4, cfg)
+
 
 class TestSimulateDistribution:
+    @pytest.mark.usefixtures("force_pool")
     def test_worker_count_does_not_change_samples(self):
         e = random_economy(0, 3, gamma=0.0)
         prefs = HouseholdPrefs(mu=random_shares(0, 3))
@@ -98,6 +129,73 @@ class TestSimulateDistribution:
         cd = simulate_distribution(e, prefs, cfg, COBB_DOUGLAS)
         gc = simulate_distribution(e, prefs, cfg, GENERAL_CES)
         np.testing.assert_allclose(cd.samples, gc.samples, atol=1e-7)
+
+
+class TestThreadPool:
+    """Row blocks solved on a thread pool give the bits of an inline solve."""
+
+    ECONOMIES = {
+        "mixed": (random_economy(42, 10), 0.2),
+        # Unviable Leontief draws and a long tail of general-CES sweeps.
+        "inelastic": (random_economy(42, 10, gamma=0.9), 0.5),
+    }
+
+    @pytest.mark.usefixtures("force_pool")
+    @pytest.mark.parametrize("economy", list(ECONOMIES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bits_independent_of_workers(self, monkeypatch, economy, method):
+        e, sigma = self.ECONOMIES[economy]
+        prefs = HouseholdPrefs(mu=random_shares(1, e.n))
+        shocks = shock_matrix(e.n, ShockConfig(count=150, sigma=sigma, seed=7))
+        threads = []
+        real = montecarlo.real_gdp_growth_batch
+        monkeypatch.setattr(montecarlo, "real_gdp_growth_batch", lambda *a: (
+            threads.append(threading.current_thread()) or real(*a)))
+        runs = {w: distribution_from_shocks(e, prefs, shocks, method, 7, w)
+                for w in (1, 2, 3, 8)}
+        # One inline block, then 2 + 3 + 8 blocks on pool threads.
+        assert threads[0] is threading.main_thread()
+        assert len(threads) == 14
+        assert threading.main_thread() not in threads[1:]
+        for w in (2, 3, 8):
+            assert runs[w].samples.tobytes() == runs[1].samples.tobytes()
+            assert runs[w].to_dict() == runs[1].to_dict()
+        if economy == "inelastic" and method == LEONTIEF:
+            assert runs[1].n_unviable > 0
+
+    def test_run_below_the_floor_builds_no_pool(self, monkeypatch):
+        pools = []
+        real = montecarlo.ThreadPoolExecutor
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                            lambda *a: pools.append(a) or real(*a))
+        e = random_economy(42, 10)
+        prefs = HouseholdPrefs(mu=random_shares(1, 10))
+        shocks = shock_matrix(10, ShockConfig(count=160, seed=3))
+        assert 160 * 11 * 10 < 2 * montecarlo.MIN_BLOCK_FLOATS
+        distribution_from_shocks(e, prefs, shocks, GENERAL_CES, 3, workers=8)
+        assert pools == []
+        monkeypatch.setattr(montecarlo, "MIN_BLOCK_FLOATS", 1)
+        distribution_from_shocks(e, prefs, shocks, GENERAL_CES, 3, workers=8)
+        assert pools == [(8,)]
+
+    @pytest.mark.usefixtures("force_pool")
+    @pytest.mark.parametrize("bad_rows", [[70], [70, 3]])
+    def test_error_in_a_later_block_surfaces_as_inline(self, bad_rows):
+        # Workers 2 cut 100 rows into blocks 0-49 and 50-99.  The first bad
+        # row in stream order is reported, whichever block holds it.
+        e = random_economy(42, 4)
+        prefs = HouseholdPrefs(mu=random_shares(1, 4))
+        shocks = shock_matrix(4, ShockConfig(count=100, seed=5))
+        for k, row in enumerate(bad_rows):
+            shocks[row, 1] = -1.0 - k
+        errors = []
+        for workers in (1, 2, 3):
+            with pytest.raises(NonPositiveValue) as info:
+                distribution_from_shocks(e, prefs, shocks, GENERAL_CES, 5, workers)
+            errors.append(str(info.value))
+        with pytest.raises(NonPositiveValue) as first:
+            check_shock(shocks[min(bad_rows)], 4)
+        assert errors == [str(first.value)] * 3
 
 
 class TestSummary:
