@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     DuplicateObservation,
@@ -309,7 +309,9 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         # effective sample size of the N R^2 statistic is n - n_entities;
         # using raw n makes the test over-reject in short panels.
         sargan = (n - n_entities) * r2
-        sargan_p = float(stats.chi2.sf(sargan, L - 1))
+        # chdtrc is scipy.stats.chi2.sf for a statistic >= 0 and dof >= 1:
+        # here n - n_entities >= 1, R^2 >= 0 and L - 1 >= 1.
+        sargan_p = float(special.chdtrc(L - 1, sargan))
     else:
         sargan = None
         sargan_p = None
@@ -327,8 +329,10 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         beta_aug, cov_aug = _ols_fit(design, X_aug, "augmented design matrix")
         t_v = beta_aug[-1] / np.sqrt(cov_aug[-1, -1])
         endogeneity_f = float(t_v**2)
+        # fdtrc is scipy.stats.f.sf for F >= 0 and dof >= 1: here F = t^2
+        # and _residual_dof is at least 1.
         endogeneity_p = float(
-            stats.f.sf(endogeneity_f, 1, _residual_dof(design, X_aug.shape[1]))
+            special.fdtrc(1, _residual_dof(design, X_aug.shape[1]), endogeneity_f)
         )
 
     return IvDiagnostics(

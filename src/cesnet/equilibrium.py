@@ -223,8 +223,12 @@ def solve_fixed_point_batch(
         seq = np.empty((m + 1, rows.size, n + 1))
         seq[0] = paug
         seq[1:, :, 0] = pi0
-        for s in range(m):
-            np.divide(costs(seq[s]), Z, out=seq[s + 1, :, 1:])
+        # A row that diverges mid-round is swept on to the end of the round
+        # and its later iterates are dropped below, so their zero, inf and
+        # NaN prices must not warn.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for s in range(m):
+                np.divide(costs(seq[s]), Z, out=seq[s + 1, :, 1:])
         # The numeraire column adds zeros to the steps, so each is the
         # max-norm change of the row's prices.
         step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from .errors import DegenerateSample, NonPositiveValue, SeriesTooShort
 
@@ -79,7 +79,8 @@ def shapiro_wilk(series) -> tuple[float, float]:
     nn = x.size
     xs = np.sort(x)
 
-    m = norm.ppf((np.arange(1, nn + 1) - 0.375) / (nn + 0.25))
+    # ndtri is scipy.stats.norm.ppf on (0, 1), where Blom's positions lie.
+    m = special.ndtri((np.arange(1, nn + 1) - 0.375) / (nn + 0.25))
     summ2 = float(m @ m)
     ssumm2 = math.sqrt(summ2)
     a = np.empty(nn)
@@ -126,7 +127,8 @@ def shapiro_wilk(series) -> tuple[float, float]:
         y = math.log1p(-W)
         mu = _poly((0.0038915, -0.083751, -0.31082, -1.5861), ln_n)
         sigma = math.exp(_poly((0.0030302, -0.082676, -0.4803), ln_n))
-    return W, float(norm.sf((y - mu) / sigma))
+    # ndtr(-z) is scipy.stats.norm.sf(z) for every z.
+    return W, float(special.ndtr(-((y - mu) / sigma)))
 
 
 def _poly(coeffs_high_to_low, v):

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.stats import norm
+from scipy import special
 
 from .economy import Economy
 from .equilibrium import CONVERGED, _solve
@@ -23,6 +22,7 @@ from .errors import (
     DegenerateSample,
     NonPositiveValue,
     SeriesTooShort,
+    SingularSystem,
     TooFewSamples,
 )
 from .household import GENERAL_CES, HouseholdPrefs, real_gdp_growth_batch
@@ -218,7 +218,8 @@ def qq_points(samples) -> np.ndarray:
         raise DegenerateSample("constant sample has no QQ representation")
     standardized = np.sort((samples - samples.mean()) / sd)
     k = np.arange(1, samples.size + 1)
-    theoretical = norm.ppf((k - 0.5) / samples.size)
+    # ndtri is scipy.stats.norm.ppf on (0, 1), where (k - 0.5) / N lies.
+    theoretical = special.ndtri((k - 0.5) / samples.size)
     return np.column_stack([theoretical, standardized])
 
 
@@ -228,7 +229,13 @@ def hp_filter(series, lam: float) -> tuple[np.ndarray, np.ndarray]:
     Solves the penalized least squares problem
     ``min sum (y - tau)^2 + lam * sum (second difference of tau)^2``
     exactly via the symmetric pentadiagonal system ``(I + lam K'K) tau = y``.
+    A lambda so large that the system overflows or is no longer positive
+    definite in floating point (from about 1e15 on) raises
+    ``SingularSystem``.
     """
+    # Imported here: scipy.linalg is slow to load and only this needs it.
+    from scipy.linalg import solveh_banded
+
     y = np.asarray(series, dtype=float)
     if y.ndim != 1 or y.size < 4:
         raise SeriesTooShort("HP filter needs a 1-d series of length >= 4")
@@ -242,8 +249,16 @@ def hp_filter(series, lam: float) -> tuple[np.ndarray, np.ndarray]:
     off1[[0, -1]] = -2.0
     off2 = np.full(T - 2, 1.0)
     ab = np.zeros((3, T))
-    ab[0] = 1.0 + lam * main
-    ab[1, : T - 1] = lam * off1
-    ab[2, : T - 2] = lam * off2
-    trend = solveh_banded(ab, y, lower=True)
+    with np.errstate(over="ignore"):
+        ab[0] = 1.0 + lam * main
+        ab[1, : T - 1] = lam * off1
+        ab[2, : T - 2] = lam * off2
+    singular = (f"HP system with lambda = {lam:g} and T = {T} is not "
+                "positive definite in floating point")
+    if not np.isfinite(ab).all():
+        raise SingularSystem(singular)
+    try:
+        trend = solveh_banded(ab, y, lower=True)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(singular) from None
     return trend, y - trend

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,21 @@ class TestSolve:
         meta = json.loads((tmp_path / "out" / "solve_meta.json").read_text())
         assert meta["status"] == "diverged"
         assert not (tmp_path / "out" / "prices.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_price_falling_to_zero_does_not_warn(self, tmp_path, capsys):
+        # Corn's price falls to zero within a round of sweeps, and the CES
+        # power with corn's gamma = 1 - 1.79 < 0 then divides by zero.
+        io_path, el_path = write_economy(tmp_path)
+        Path(el_path).write_text("steel,0.67\ncorn,1.79\n")
+        z_path = write_shocks(tmp_path, steel=0.01, corn=100.0)
+        rc = main([
+            "solve", "--economy", io_path, "--elasticities", el_path,
+            "--shocks", z_path, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "NotConverged", "message": "status diverged"}
 
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         io_path, el_path = write_economy(tmp_path)
@@ -384,6 +403,29 @@ class TestQqAndHp:
         trend = np.array([float(r[0]) for r in rows[1:]])
         expected, _ = hp_filter(y, 129600.0)
         np.testing.assert_array_equal(trend, expected)
+
+
+class TestImportCost:
+    """``import cesnet.cli`` loads numpy and ``scipy.special`` only: the
+    slow ``scipy.stats`` is not used, and ``hp_filter`` loads
+    ``scipy.linalg`` when it first runs."""
+
+    CODE = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import cesnet.cli\n"
+        "print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))\n"
+        "cesnet.montecarlo.hp_filter(np.arange(5.0), 1600.0)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+
+    def test_fresh_import_leaves_out_scipy_stats_and_linalg(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", self.CODE], capture_output=True, text=True,
+            check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.splitlines() == ["[]", "True"]
 
 
 class TestGbm:
@@ -867,7 +909,9 @@ class TestCliFuzz:
             "--method": ["bogus"], "--kappa": ["nan", "inf", "abc"],
         }),
         "qq": (("input",), {"--outdir": []}),
-        "hp": (("input",), {"--lam": ["0", "-1", "nan", "abc"]}),
+        # lambda 1e16 makes the HP system indefinite in floating point and
+        # 1e308 overflows it: domain errors, not usage errors.
+        "hp": (("input",), {"--lam": ["0", "-1", "nan", "abc", "1e16", "1e308"]}),
         "gbm": (("levels",), {"--outdir": []}),
         "estimate": (("panel",), {
             "--method": ["bogus"], "--parameter": ["bogus"],

@@ -17,6 +17,12 @@ The ``structure`` outputs of an economy with log-limit sectors
 (|gamma| < GAMMA_SWITCH) and the two ``save_economy`` files of labels that
 need quoting were recorded with separate cost kernels for economies with and
 without such sectors and with ``csv.writer`` in ``save_economy``.
+
+The ``gbm`` outputs of a short level table (nine growth rates, Royston's
+small-sample p-value) and a long one (59 growth rates, his large-sample
+p-value), and the ``hp`` output at the default lambda, were recorded with
+``scipy.stats`` supplying the normal quantiles and tail probability and
+with ``scipy.linalg`` imported at module level by ``cesnet.montecarlo``.
 """
 
 import csv
@@ -177,3 +183,34 @@ def test_saved_economy_with_quoted_labels_pinned(tmp_path):
     save_economy(economy, tmp_path / "io.csv", tmp_path / "el.csv")
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in SAVED_ECONOMY} == SAVED_ECONOMY
+
+
+GBM = {
+    "short": "248591a095acb8028dc320ec6f6449f80d0c32148501b6cb20c1e99954ee8716",
+    "long": "f773586e5c41cb7984f66bef94941547ef5d84948ea92fa4f3fc04a640578b5b",
+}
+
+
+@pytest.mark.parametrize("table, rows", [("short", 10), ("long", 60)])
+def test_gbm_outputs_pinned(tmp_path, table, rows):
+    rng = np.random.default_rng(11)
+    levels = np.exp(np.cumsum(rng.normal(0.01, 0.05, (rows, 2)), axis=0))
+    path = tmp_path / "levels.csv"
+    path.write_text("a,b\n" + "".join(
+        f"{float(x)!r},{float(y)!r}\n" for x, y in levels))
+    assert main(["gbm", "--input", str(path), "--outdir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "gbm.csv").read_bytes()).hexdigest()
+    assert digest == GBM[table]
+
+
+HP = "b5b844de90f072179a6ea9231bf8d5c93a537964750a786dd2ce1780dc555fd5"
+
+
+def test_hp_output_pinned(tmp_path):
+    rng = np.random.default_rng(12)
+    y = np.cumsum(rng.normal(0.0, 1.0, 80)) + 0.1 * np.arange(80)
+    path = tmp_path / "series.csv"
+    path.write_text("".join(f"{float(v)!r}\n" for v in y))
+    assert main(["hp", "--input", str(path), "--lam", "1600",
+                 "--outdir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "hp.csv").read_bytes()).hexdigest() == HP

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special, stats
 from scipy.stats import norm
 
 from cesnet import montecarlo
@@ -14,6 +15,7 @@ from cesnet.errors import (
     DegenerateSample,
     NonPositiveValue,
     SeriesTooShort,
+    SingularSystem,
     TooFewSamples,
 )
 from cesnet.household import (
@@ -314,6 +316,55 @@ class TestHpFilter:
             hp_filter(np.ones(3), 1600.0)
         with pytest.raises(ValueError):
             hp_filter(np.ones(10), 0.0)
+
+    @pytest.mark.parametrize("lam", [1e16, 1e308, np.inf])
+    def test_huge_lambda_is_singular(self, lam):
+        # 1e16 leaves the system indefinite in floating point; 1e308 and
+        # inf overflow it.
+        y = np.random.default_rng(37).standard_normal(40).cumsum()
+        with pytest.raises(SingularSystem, match="T = 40"):
+            hp_filter(y, lam)
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestScipyKernels:
+    """The scipy.special ufuncs called in place of their scipy.stats
+    wrappers give the same bits over the arguments each call site can
+    pass: plotting positions in (0, 1), statistics >= 0, dof >= 1."""
+
+    SIZES = [3, 4, 5, 11, 12, 160, 5000]
+    STATISTICS = np.concatenate([
+        [0.0, 1e-300, 1e300, np.inf, np.nan],
+        np.linspace(0.0, 60.0, 241), np.logspace(-12, 12, 97),
+    ])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_qq_and_royston_positions(self, n):
+        k = np.arange(1, n + 1)
+        for q in ((k - 0.5) / n, (k - 0.375) / (n + 0.25)):
+            assert_same_bits(special.ndtri(q), stats.norm.ppf(q))
+
+    def test_normal_tail(self):
+        # Royston's z may have either sign, and ndtr(-z) is norm.sf(z) for
+        # every z.
+        z = np.concatenate([self.STATISTICS, -self.STATISTICS, [-0.0]])
+        assert_same_bits(special.ndtr(-z), stats.norm.sf(z))
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 17])
+    def test_sargan_tail(self, df):
+        assert_same_bits(special.chdtrc(df, self.STATISTICS),
+                         stats.chi2.sf(self.STATISTICS, df))
+
+    @pytest.mark.parametrize("dof", [1, 7, 1583, 14399])
+    def test_endogeneity_tail(self, dof):
+        assert_same_bits(special.fdtrc(1, dof, self.STATISTICS),
+                         stats.f.sf(self.STATISTICS, 1, dof))
 
 
 class TestSpotChecks:
