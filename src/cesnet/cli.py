@@ -390,8 +390,6 @@ def _cmd_estimate(args) -> int:
         name, panel = em.apply_instrument_transform(panel, token)
         resolved.append(name)
     if args.method == "iv":
-        if not resolved:
-            raise MalformedTable("IV estimation needs --iv instruments")
         estimate = em.fe_2sls(panel, resolved, parameter=args.parameter)
     else:
         estimate = em.fe_ols(panel, parameter=args.parameter)

@@ -157,13 +157,12 @@ def load_economy(io_table_path, elasticities_path) -> Economy:
     ``gamma = 1 - sigma``.
 
     Columns whose sums deviate from one by at most ``RENORM_TOLERANCE`` are
-    renormalized; larger deviations raise :class:`ColumnSumViolation`.
+    renormalized; larger deviations raise :class:`ColumnSumViolation`.  The
+    :class:`Economy` constructor then checks the coefficient signs.  A file
+    that cannot be opened raises the ``OSError`` of ``open``.
     """
     labels, a0, A = _parse_io_table(io_table_path)
-    try:
-        sigma = load_labelled_vector(elasticities_path, labels, "elasticities")
-    except OSError as exc:
-        raise MalformedTable(f"cannot read elasticities: {exc}") from exc
+    sigma = load_labelled_vector(elasticities_path, labels, "elasticities")
 
     colsums = a0 + A.sum(axis=0)
     deviation = np.abs(colsums - 1.0)
@@ -292,10 +291,7 @@ def parse_column(cells, convert, what, name, first_row) -> np.ndarray:
 
 
 def _parse_io_table(path):
-    try:
-        header, columns = read_csv_table(path, "IO table")
-    except OSError as exc:
-        raise MalformedTable(f"cannot read IO table: {exc}") from exc
+    header, columns = read_csv_table(path, "IO table")
     labels, n = header[1:], len(header) - 1
     if n == 0:
         raise MalformedTable("IO table header declares no sectors")
@@ -313,10 +309,7 @@ def _parse_io_table(path):
         parse_column(col, float, "coefficient", "IO table", 2)
         for col in columns[1:]
     ])
-    a0, A = coefficients[0], coefficients[1:]
-    if np.any(a0 < 0) or np.any(A < 0):
-        raise NegativeCoefficient("IO table contains a negative coefficient")
-    return labels, a0, A
+    return labels, coefficients[0], coefficients[1:]
 
 
 def load_labelled_vector(path, labels, what) -> np.ndarray:

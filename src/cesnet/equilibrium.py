@@ -6,8 +6,9 @@ positive orthant whenever a positive fixed point exists, so iterating from
 the benchmark converges globally; nonexistence shows up as divergence.
 
 Closed forms exist for uniform elasticity (any gamma != 0, a linear solve
-for pi^gamma), whose gamma = 1 case is the Leontief economy, and for the
-Cobb-Douglas economy (gamma = 0, a linear solve in logs).
+for pi^gamma) and for the Cobb-Douglas economy (gamma = 0, a linear solve
+in logs).  The Leontief economy (sigma = 0) is the gamma = 1 case:
+``solve_leontief`` is ``solve_uniform_ces`` at gamma = 1.
 
 The recursive solver and the closed forms work on a (K, n) matrix of shock
 rows (the ``*_batch`` functions); the single-shock functions are their
@@ -225,13 +226,13 @@ def solve_fixed_point_batch(
         seq[1:, :, 0] = pi0
         # A row that diverges mid-round is swept on to the end of the round
         # and its later iterates are dropped below, so their zero, inf and
-        # NaN prices must not warn.
+        # NaN prices must not warn, nor the inf - inf of their steps.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in range(m):
                 np.divide(costs(seq[s]), Z, out=seq[s + 1, :, 1:])
-        # The numeraire column adds zeros to the steps, so each is the
-        # max-norm change of the row's prices.
-        step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)
+            # The numeraire column adds zeros to the steps, so each is the
+            # max-norm change of the row's prices.
+            step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)
         paug, res = seq[m], step[-1]
         it += m
         lo, hi = seq[1:].min(), seq[1:].max()
@@ -264,9 +265,20 @@ def solve_uniform_ces(economy: Economy, z, gamma: float, pi0: float = 1.0) -> np
     positive orthant and SingularSystem if ``diag(z)^gamma - A`` is not
     invertible.
     """
+    return _uniform_ces_row(economy, z, gamma, pi0)
+
+
+def _uniform_ces_row(economy, z, gamma, pi0=1.0):
+    """The uniform-CES prices of one shock, or its status's error.  Both
+    public closed forms call this, so that neither runs inside the other."""
     z = check_shock(z, economy.n)
-    result = solve_uniform_ces_batch(economy, z[None, :], gamma, pi0)
-    return _single_row(result, "uniform-CES linear solve")
+    pi, status = solve_uniform_ces_batch(economy, z[None, :], gamma, pi0)
+    if status[0] == SINGULAR:
+        raise SingularSystem("Singular matrix")
+    if status[0] == NO_POSITIVE_SOLUTION:
+        raise NoPositiveSolution(
+            f"uniform-CES prices at gamma {gamma!r} left the positive orthant")
+    return pi[0]
 
 
 def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0):
@@ -295,29 +307,9 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0)
 
 
 def solve_leontief(economy: Economy, z) -> np.ndarray:
-    """Closed-form Leontief prices: ``pi (diag(z) - A) = a0``.
-
-    Raises NoPositiveSolution when the Hawkins-Simon condition fails for
-    ``diag(z) - A``.
-    """
-    z = check_shock(z, economy.n)
-    return _single_row(solve_leontief_batch(economy, z[None, :]), "Leontief prices")
-
-
-def solve_leontief_batch(economy: Economy, Z):
-    """Leontief prices for every row of a (K, n) shock matrix: the gamma = 1
-    case of :func:`solve_uniform_ces_batch`, with the same result."""
-    return solve_uniform_ces_batch(economy, Z, 1.0)
-
-
-def _single_row(result, what):
-    """The prices of a one-row closed-form result, or its status's error."""
-    pi, status = result
-    if status[0] == SINGULAR:
-        raise SingularSystem("Singular matrix")
-    if status[0] == NO_POSITIVE_SOLUTION:
-        raise NoPositiveSolution(f"{what} left the positive orthant")
-    return pi[0]
+    """Closed-form Leontief prices, ``pi (diag(z) - A) = a0``: the gamma = 1
+    case of :func:`solve_uniform_ces`, raising what it raises."""
+    return _uniform_ces_row(economy, z, 1.0)
 
 
 def _solve_rows(M, rhs):

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, check_shock, check_shock_matrix
+from .economy import Economy, check_prices, check_shock, check_shock_matrix
 from .equilibrium import (
     CONVERGED,
     MAX_ITERATIONS,
     _solve,
     solve_cobb_douglas_batch,
     solve_fixed_point_batch,
-    solve_leontief_batch,
+    solve_uniform_ces_batch,
 )
 from .errors import CesnetError, InvalidPreferences, NonPositivePrice
 
@@ -88,13 +88,7 @@ class Unviable(CesnetError):
 
 def log_price_index(pi, prefs: HouseholdPrefs) -> float:
     """ln Pi(pi) for the household's CES price index."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (prefs.n,):
-        raise NonPositivePrice(
-            f"price vector has shape {pi.shape}, expected ({prefs.n},)"
-        )
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
-        raise NonPositivePrice("prices must be strictly positive")
+    pi, _ = check_prices(pi, prefs.n)
     return float(_log_price_index_rows(pi[None, :], prefs)[0])
 
 
@@ -164,7 +158,10 @@ def real_gdp_growth_batch(
     (see ``equilibrium``); ``ln_h`` is 0 where a row did not converge.  Row k
     equals ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit.
     The shock matrix is validated before any solve: a bad row raises what
-    ``check_shock`` raises for the first such row.
+    ``check_shock`` raises for the first such row.  A converged row with a
+    price or 1/z at 0 or inf, or whose ln H is not finite (a price or price
+    index beyond the float range), raises NonPositivePrice naming the first
+    such row's shock.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -177,14 +174,21 @@ def real_gdp_growth_batch(
             result = solve_fixed_point_batch(economy, Z, tol=tol, max_iter=max_iter)
             pi, status = result.pi, result.status
         else:
-            pi, status = solve_leontief_batch(economy, Z)
+            pi, status = solve_uniform_ces_batch(economy, Z, 1.0)
         log_pi = np.log(pi[status == CONVERGED])
     ok = status == CONVERGED
-    pi, inv_z = np.exp(log_pi), 1.0 / Z[ok]
-    if not np.all(np.isfinite(pi) & (pi > 0) & np.isfinite(inv_z) & (inv_z > 0)):
-        raise NonPositivePrice("prices must be strictly positive")
     ln_h = np.zeros(len(Z))
-    ln_h[ok] = _log_price_index_rows(inv_z, prefs) - _log_price_index_rows(pi, prefs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pi, inv_z = np.exp(log_pi), 1.0 / Z[ok]
+        ln_h[ok] = (_log_price_index_rows(inv_z, prefs)
+                    - _log_price_index_rows(pi, prefs))
+    # A price at 0 or inf can still give a finite, wrong ln H (0**kappa = 0).
+    bad = ~np.isfinite(ln_h)
+    bad[ok] |= ~np.all((pi > 0) & (pi < np.inf) & (inv_z < np.inf), axis=1)
+    if bad.any():
+        raise NonPositivePrice(
+            "a price or price index left the float range under shock "
+            f"{Z[np.argmax(bad)]}")
     return ln_h, status
 
 

@@ -31,7 +31,6 @@ from cesnet.equilibrium import (
     solve_fixed_point,
     solve_fixed_point_batch,
     solve_leontief,
-    solve_leontief_batch,
     solve_uniform_ces,
     solve_uniform_ces_batch,
 )
@@ -125,7 +124,7 @@ def test_closed_form_rows_equal_single_solves(data):
     gamma = data.draw(
         st.just(1.0) | st.floats(-1.5, 1.5).filter(lambda g: abs(g) >= 0.05)
     )
-    pi, status = solve_leontief_batch(e, Z)
+    pi, status = solve_uniform_ces_batch(e, Z, 1.0)
     pi_u, status_u = solve_uniform_ces_batch(e, Z, gamma)
     log_cd = solve_cobb_douglas_batch(e, Z)
     for k, z in enumerate(Z):
@@ -219,7 +218,7 @@ def test_one_batch_holds_every_status(monkeypatch, round_sweeps):
 def test_singular_leontief_row_fails_alone():
     e = Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0])
     Z = np.array([[2.0], [0.5], [0.25], [1.0]])  # 0.5 - 0.5 = 0 is singular
-    pi, status = solve_leontief_batch(e, Z)
+    pi, status = solve_uniform_ces_batch(e, Z, 1.0)
     assert list(status) == [CONVERGED, SINGULAR, NO_POSITIVE_SOLUTION, CONVERGED]
     np.testing.assert_array_equal(pi[[0, 3]], [[0.5 / 1.5], [1.0]])
     with pytest.raises(SingularSystem):

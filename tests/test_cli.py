@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cesnet.cli import load_config, main
 from cesnet.economy import write_csv
-from cesnet.household import HouseholdPrefs, real_gdp_growth
+from cesnet.household import METHODS, HouseholdPrefs, real_gdp_growth
 from cesnet.montecarlo import hp_filter, qq_points
 
 
@@ -266,10 +266,7 @@ class TestMissingFiles:
                     *(a for k, v in inputs.items() for a in (f"--{k}", v))]
         assert main(argv) == 1
         err = single_json_error(capsys)
-        # The economy loader reports its own unreadable files.
-        assert err["error"] == ("MalformedTable"
-                                if missing in ("economy", "elasticities")
-                                else "FileNotFoundError")
+        assert err["error"] == "FileNotFoundError"
         assert "missing.csv" in err["message"]
 
 
@@ -340,6 +337,43 @@ class TestAggregate:
             '{"error": "Unviable", "message": '
             '"no positive equilibrium under method \'leontief\'"}\n'
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tiny_shock_is_a_result_or_one_error(self, tmp_path, capsys,
+                                                 method):
+        # z = 1e-300 sends the recursion to inf and the Cobb-Douglas prices
+        # past the range of exp; neither may warn or print a NaN.
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            "aggregate", "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--method", method,
+            "--shocks", write_shocks(tmp_path, steel=1e-300, corn=1.0),
+        ])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert err == "" and np.isfinite(json.loads(out)["ln_h"])
+        else:
+            assert rc == 1 and out == ""
+            assert err.count("\n") == 1 and set(json.loads(err)) == {
+                "error", "message"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", ["1e308", "-1e308"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_growth_beyond_the_float_range(self, tmp_path, capsys, method,
+                                           kappa):
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            "aggregate", "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--shocks", write_shocks(tmp_path),
+            "--method", method, f"--kappa={kappa}",
+        ])
+        assert rc == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "NonPositivePrice"
+        assert err["message"] == (
+            "a price or price index left the float range under shock [1.1 0.9]")
 
 
     @pytest.mark.parametrize("mu", [("nan", "0.6"), ("-0.4", "1.4"),
@@ -555,6 +589,15 @@ class TestEstimate:
             "error": "UnknownInstrument", "message": "unknown instrument 'qvoid'",
         }
 
+    @pytest.mark.parametrize("iv", [[], ["--iv", " , "]])
+    def test_iv_without_instruments_is_domain_error(self, tmp_path, capsys, iv):
+        path = self.write_panel(tmp_path)
+        assert main(["estimate", "--panel", path, "--method", "iv", *iv]) == 1
+        assert single_json_error(capsys) == {
+            "error": "MalformedTable",
+            "message": "IV estimation needs at least one instrument",
+        }
+
     @pytest.mark.parametrize("flags", [
         ["--method", "ls"], ["--method", "iv", "--iv", "w"],
     ])
@@ -740,6 +783,24 @@ class TestExperimentEdgeCases:
         assert (out / "samples_cobb_douglas.csv").exists()
         assert not (out / "qq_cobb_douglas.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", ["1e308", "-1e308"])
+    def test_growth_beyond_the_float_range(self, tmp_path, capsys, kappa):
+        io_path, el_path = write_economy(tmp_path)
+        out = tmp_path / "out"
+        rc = main([
+            "experiment", "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--count", "5",
+            f"--kappa={kappa}", "--outdir", str(out),
+        ])
+        assert rc == 0 and capsys.readouterr().err == ""
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        report = json.loads(text)
+        assert report["mean_ordering"] == []
+        for entry in report["methods"].values():
+            assert entry["failed"] == "NonPositivePrice"
+
 
 class TestLoaderMessages:
     """Every CSV input names a bad row the same way: rows are numbered from
@@ -906,7 +967,11 @@ class TestCliFuzz:
             "--pi0": ["0", "-1", "nan", "abc"],
         }),
         "aggregate": (("economy", "elasticities", "prefs", "shocks"), {
-            "--method": ["bogus"], "--kappa": ["nan", "inf", "abc"],
+            # kappa 1e308 puts ln H beyond the float range: a domain
+            # error, as is --kappa=-1e308 (see TestAggregate); argparse
+            # reads a bare "-1e308" as a flag, a usage error.
+            "--method": ["bogus"],
+            "--kappa": ["nan", "inf", "abc", "1e308", "-1e308"],
         }),
         "qq": (("input",), {"--outdir": []}),
         # lambda 1e16 makes the HP system indefinite in floating point and
@@ -921,6 +986,8 @@ class TestCliFuzz:
             "--count": ["0", "-3", "1.5", "abc"],
             # sigma 800 overflows exp: a domain error, not a usage error.
             "--sigma": ["0", "-1", "nan", "800"], "--workers": ["0", "abc"],
+            # kappa +-1e308 fails each method inside the report (see
+            # TestExperimentEdgeCases), so neither is rejected.
             "--seed": ["abc"], "--kappa": ["nan"],
         }),
     }

@@ -54,6 +54,21 @@ class TestLoader:
         with pytest.raises(NegativeCoefficient):
             load_economy(io_path, el_path)
 
+    def test_negative_coefficient_with_bad_column_sum(self, tmp_path):
+        # Column sums are checked on load, signs by the Economy after it.
+        io_path, el_path = write_csvs(
+            tmp_path,
+            [
+                "sector,steel,corn",
+                "PRIMARY,0.5,0.5",
+                "steel,-0.1,0.3",
+                "corn,0.5,0.2",
+            ],
+            ["steel,1.0", "corn,1.0"],
+        )
+        with pytest.raises(ColumnSumViolation, match="column 'steel'"):
+            load_economy(io_path, el_path)
+
     def test_column_sum_violation(self, tmp_path):
         io_path, el_path = write_csvs(
             tmp_path,

@@ -7,12 +7,14 @@ from cesnet.equilibrium import (
     MAX_ITERATIONS,
     NO_POSITIVE_SOLUTION,
     solve_fixed_point,
+    solve_fixed_point_batch,
 )
-from cesnet.errors import NonPositivePrice
+from cesnet.errors import MalformedTable, NonPositivePrice
 from cesnet.household import (
     COBB_DOUGLAS,
     GENERAL_CES,
     LEONTIEF,
+    METHODS,
     HouseholdPrefs,
     Unviable,
     domar_weights,
@@ -20,7 +22,9 @@ from cesnet.household import (
     nominal_income,
     price_index,
     real_gdp_growth,
+    real_gdp_growth_batch,
 )
+from cesnet.montecarlo import distribution_from_shocks
 
 from conftest import random_economy, random_shares
 
@@ -57,6 +61,11 @@ class TestPriceIndex:
         prefs = HouseholdPrefs(mu=[1.0], kappa=0.5)
         with pytest.raises(NonPositivePrice):
             price_index(np.array([0.0]), prefs)
+
+    def test_rejects_a_price_vector_of_the_wrong_shape(self):
+        prefs = HouseholdPrefs(mu=[0.5, 0.5])
+        with pytest.raises(MalformedTable, match="expected \\(2,\\)"):
+            log_price_index(np.ones(3), prefs)
 
     def test_prefs_validation(self):
         with pytest.raises(ValueError):
@@ -129,6 +138,53 @@ class TestRealGdpGrowth:
         assert isinstance(out, Unviable) and out.status == MAX_ITERATIONS
         assert str(out) == (
             "solver ran out of iterations under method 'general-ces'")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_shock_fails_without_a_warning(self):
+        # z = 1e-300 drives the recursion to inf, whose steps are inf - inf,
+        # and the Cobb-Douglas prices past the range of exp.
+        e = random_economy(1, 4)
+        prefs = HouseholdPrefs(mu=random_shares(1, 4))
+        Z = np.array([[1e-300, 1.0, 1.0, 1.0]])
+        assert list(solve_fixed_point_batch(e, Z).status) == [DIVERGED]
+        assert real_gdp_growth(e, prefs, Z[0]).status == DIVERGED
+        with pytest.raises(NonPositivePrice, match="left the float range"):
+            real_gdp_growth_batch(e, prefs, Z, COBB_DOUGLAS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", [1e308, -1e308])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_growth_never_passes(self, econ4, method, kappa):
+        # A price other than 1 overflows or underflows under such a kappa.
+        prefs = HouseholdPrefs(mu=random_shares(0, 4), kappa=kappa)
+        Z = np.array([[1.1, 0.9, 1.0, 1.0]])
+        with pytest.raises(NonPositivePrice, match="left the float range"):
+            real_gdp_growth_batch(econ4, prefs, Z, method)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z, kappa", [([1e300, 1.0], 0.01),
+                                          ([5e-324, 1.0], -0.01)])
+    def test_price_at_zero_or_inf_never_passes(self, z, kappa):
+        # Steel's Cobb-Douglas price exp(-L_00 ln 1e300) underflows to 0,
+        # and 1/5e-324 is inf; with a small kappa, 0**kappa = 0 and
+        # inf**kappa = inf would still give a finite but wrong ln H.
+        e = Economy(labels=("steel", "corn"), A=[[0.2, 0.3], [0.3, 0.2]],
+                    a0=[0.5, 0.5], gamma=[-0.5, 0.5])
+        prefs = HouseholdPrefs(mu=[0.4, 0.6], kappa=kappa)
+        with pytest.raises(NonPositivePrice, match="left the float range"):
+            real_gdp_growth_batch(e, prefs, np.array([z]), COBB_DOUGLAS)
+
+    @pytest.mark.usefixtures("force_pool")
+    def test_non_finite_growth_message_independent_of_blocks(self, econ4):
+        prefs = HouseholdPrefs(mu=random_shares(0, 4))
+        Z = np.ones((4, 4))
+        Z[3, 0] = 1e-300
+        messages = set()
+        for workers in (1, 2):
+            with pytest.raises(NonPositivePrice) as info:
+                distribution_from_shocks(econ4, prefs, Z, COBB_DOUGLAS, 0, workers)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_unknown_method_raises(self, econ4):
         prefs = HouseholdPrefs(mu=random_shares(0, 4))
