@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -38,8 +39,7 @@ DEFAULT_SEED = 20110101
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _load_config_from_argv(argv)
-        args = _build_parser(tuple(config.items())).parse_args(argv)
+        args = _build_parser()[0].parse_args(_with_config(argv))
         return args.func(args)
     except SystemExit as exc:  # argparse: usage error, or --help
         return int(exc.code or 0)
@@ -58,18 +58,23 @@ def main(argv=None) -> int:
 
 # --- configuration ----------------------------------------------------------
 
-def _load_config_from_argv(argv):
-    """Load the file of a ``--config`` given before the subcommand.
+def _with_config(argv):
+    """``argv`` with each item of its ``--config`` file that the subcommand
+    takes as one ``--flag=value`` token right after the subcommand.
 
-    The pre-parser reads ``--config`` as the full parser does (``--config
-    FILE``, ``--config=FILE``, abbreviations; a missing value is a usage
-    error), and leaves the subcommand and its flags alone.
+    The command line's own flags come later, so they win, and argparse
+    checks a config value exactly as its flag.  The pre-parser reads
+    ``--config`` as the full parser does (``--config=FILE``, abbreviations).
     """
     pre = argparse.ArgumentParser(prog="cesnet", add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
-    path = pre.parse_known_args(argv)[0].config
-    return {} if path is None else load_config(path)
+    known = pre.parse_known_args(argv)[0]
+    config = {} if known.config is None else load_config(known.config)
+    flags = _build_parser()[1].get(known.rest[0] if known.rest else None, {})
+    at = len(argv) - len(known.rest) + 1
+    items = [f"{flags[k]}={v}" for k, v in config.items() if k in flags]
+    return [*argv[:at], *items, *argv[at:]]
 
 
 def load_config(path) -> dict:
@@ -91,14 +96,10 @@ def load_config(path) -> dict:
     return out
 
 
-@functools.lru_cache
-def _build_parser(config_items):
-    """The parser for one config file's ``(key, value)`` items.
-
-    Memoised: building it takes milliseconds, and parsing leaves it as it
-    was, so in-process callers share one parser per config.
-    """
-    config = dict(config_items)
+@functools.cache
+def _build_parser():
+    """The parser, and per subcommand each option's long flag by dest;
+    memoised, as parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="cesnet",
         description="Multisector CES production-network toolkit",
@@ -108,91 +109,82 @@ def _build_parser(config_items):
 
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
+        # argparse before 3.13 reads "-1e-3" as a flag, not a negative number.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.set_defaults(func=func)
         return p
 
-    def opt(p, flag, **kwargs):
-        dest = flag.lstrip("-").replace("-", "_")
-        if dest in config:
-            # argparse converts a string default with the option's type,
-            # so a bad config value is a usage error like a bad flag.
-            kwargs["default"] = config[dest]
-        p.add_argument(flag, **kwargs)
-
     def economy_opts(p):
-        opt(p, "--economy", required="economy" not in config,
-            help="IO table CSV")
-        opt(p, "--elasticities", required="elasticities" not in config,
-            help="sector elasticities CSV (label,sigma)")
+        p.add_argument("--economy", required=True, help="IO table CSV")
+        p.add_argument("--elasticities", required=True,
+                       help="sector elasticities CSV (label,sigma)")
 
     def prefs_opts(p):
-        opt(p, "--prefs", required="prefs" not in config,
-            help="expenditure shares CSV (label,mu)")
-        opt(p, "--kappa", type=_finite_float, default=0.0,
-            help="household utility curvature (default 0, Cobb-Douglas)")
+        p.add_argument("--prefs", required=True,
+                       help="expenditure shares CSV (label,mu)")
+        p.add_argument("--kappa", type=_finite_float, default=0.0,
+                       help="household utility curvature (default 0, Cobb-Douglas)")
 
     def sampling_opts(p):
-        opt(p, "--count", type=_positive_int, default=10000)
-        opt(p, "--sigma", type=_positive_float, default=0.2)
-        opt(p, "--seed", type=int, default=DEFAULT_SEED)
-        opt(p, "--workers", type=_positive_int, default=_usable_cpus(),
-            help="threads that solve the blocks of draws (default: the CPUs "
-                 "this process may use); a run too small to pay for a thread "
-                 "pool is solved inline, and outputs are byte-identical for "
-                 "any value")
-        opt(p, "--outdir", default=".")
+        p.add_argument("--count", type=_positive_int, default=10000)
+        p.add_argument("--sigma", type=_positive_float, default=0.2)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
+                       help="threads that solve the blocks of draws (default: "
+                            "the CPUs this process may use); a run too small "
+                            "to pay for a thread pool is solved inline, and "
+                            "outputs are byte-identical for any value")
+        p.add_argument("--outdir", default=".")
 
     p = add("solve", _cmd_solve, "solve equilibrium prices for a shock")
     economy_opts(p)
-    opt(p, "--shocks", help="shock CSV (label,z); defaults to the benchmark")
-    opt(p, "--pi0", type=float, default=1.0)
-    opt(p, "--tol", type=_positive_float, default=1e-10)
-    opt(p, "--max-iter", type=_positive_int, default=10000)
-    opt(p, "--outdir", default=".")
+    p.add_argument("--shocks", help="shock CSV (label,z); defaults to the benchmark")
+    p.add_argument("--pi0", type=float, default=1.0)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--max-iter", type=_positive_int, default=10000)
+    p.add_argument("--outdir", default=".")
 
     p = add("structure", _cmd_structure, "equilibrium structure and viability")
     economy_opts(p)
-    opt(p, "--shocks", help="shock CSV (label,z)")
-    opt(p, "--pi0", type=float, default=1.0)
-    opt(p, "--outdir", default=".")
+    p.add_argument("--shocks", help="shock CSV (label,z)")
+    p.add_argument("--pi0", type=float, default=1.0)
+    p.add_argument("--outdir", default=".")
 
     p = add("aggregate", _cmd_aggregate, "real GDP growth for one shock")
     economy_opts(p)
     prefs_opts(p)
-    opt(p, "--shocks", required="shocks" not in config, help="shock CSV")
-    opt(p, "--method", choices=METHODS, default="general-ces")
+    p.add_argument("--shocks", required=True, help="shock CSV")
+    p.add_argument("--method", choices=METHODS, default="general-ces")
 
     p = add("simulate", _cmd_simulate, "Monte Carlo fluctuation distribution")
     economy_opts(p)
     prefs_opts(p)
-    opt(p, "--method", choices=METHODS, default="general-ces")
+    p.add_argument("--method", choices=METHODS, default="general-ces")
     sampling_opts(p)
 
     p = add("qq", _cmd_qq, "normal QQ points of a sample CSV")
-    opt(p, "--input", required="input" not in config,
-        help="one-column CSV of samples")
-    opt(p, "--outdir", default=".")
+    p.add_argument("--input", required=True, help="one-column CSV of samples")
+    p.add_argument("--outdir", default=".")
 
     p = add("hp", _cmd_hp, "Hodrick-Prescott trend/cycle split")
-    opt(p, "--input", required="input" not in config,
-        help="one-column CSV series")
-    opt(p, "--lam", type=_positive_float, default=1600.0)
-    opt(p, "--outdir", default=".")
+    p.add_argument("--input", required=True, help="one-column CSV series")
+    p.add_argument("--lam", type=_positive_float, default=1600.0)
+    p.add_argument("--outdir", default=".")
 
     p = add("gbm", _cmd_gbm, "GBM drift/volatility and normality per column")
-    opt(p, "--input", required="input" not in config,
-        help="CSV, one series per column with a header row")
-    opt(p, "--outdir", default=".")
+    p.add_argument("--input", required=True,
+                   help="CSV, one series per column with a header row")
+    p.add_argument("--outdir", default=".")
 
     p = add("estimate", _cmd_estimate, "FE / IV panel elasticity estimation")
-    opt(p, "--panel", required="panel" not in config,
-        help="long CSV: entity,period,share,price[,inst_*...]")
-    opt(p, "--method", choices=("ls", "iv"), default="ls")
-    opt(p, "--iv", default="",
-        help="comma-separated instrument tokens, e.g. a,lb (l/f/d prefixes "
-             "are lag/forward/difference)")
-    opt(p, "--parameter", choices=("gamma", "kappa"), default="gamma")
-    opt(p, "--out", help="write the estimate JSON here instead of stdout")
+    p.add_argument("--panel", required=True,
+                   help="long CSV: entity,period,share,price[,inst_*...]")
+    p.add_argument("--method", choices=("ls", "iv"), default="ls")
+    p.add_argument("--iv", default="",
+                   help="comma-separated instrument tokens, e.g. a,lb "
+                        "(l/f/d prefixes are lag/forward/difference)")
+    p.add_argument("--parameter", choices=("gamma", "kappa"), default="gamma")
+    p.add_argument("--out", help="write the estimate JSON here instead of stdout")
 
     p = add("experiment", _cmd_experiment,
             "paired-sample comparison of the three aggregators")
@@ -200,7 +192,10 @@ def _build_parser(config_items):
     prefs_opts(p)
     sampling_opts(p)
 
-    return parser
+    flags = {name: {a.dest: a.option_strings[-1] for a in p._actions
+                    if a.dest != "help"}
+             for name, p in sub.choices.items()}
+    return parser, flags
 
 
 def _usable_cpus() -> int:
@@ -451,7 +446,7 @@ def _cmd_experiment(args) -> int:
 
     report = {"seed": args.seed, "count": args.count, "sigma": args.sigma,
               "methods": {}}
-    qq_cells = {}
+    qq_cells, errors = {}, []
     for method in METHODS:
         entry = {"shock_stream_sha256": shock_hash}
         try:
@@ -459,6 +454,7 @@ def _cmd_experiment(args) -> int:
                 economy, prefs, shocks, method, args.seed, args.workers
             )
         except CesnetError as exc:
+            errors.append(exc)
             entry["failed"] = type(exc).__name__
             entry["message"] = str(exc)
         else:
@@ -468,6 +464,8 @@ def _cmd_experiment(args) -> int:
     means = {m: e["mean"] for m, e in report["methods"].items() if "mean" in e}
     report["mean_ordering"] = sorted(means, key=means.get)
     _write_json(out / "report.json", report)
+    if not report["mean_ordering"]:  # every method failed
+        raise errors[0]
     return 0
 
 

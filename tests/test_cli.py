@@ -714,6 +714,58 @@ class TestConfig:
         # Without a config the flags are required again.
         assert main(["simulate", "--outdir", str(tmp_path / "none")]) == 2
 
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("simulate", "method", "foo"), ("aggregate", "method", "foo"),
+        ("estimate", "method", "bogus"), ("estimate", "parameter", "bogus"),
+    ])
+    def test_config_value_outside_choices_is_usage_error(
+            self, tmp_path, capsys, subcommand, key, value):
+        io_path, el_path = write_economy(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        # One config of valid inputs for all three subcommands, each of
+        # which ignores the keys it does not take.
+        cfg.write_text(
+            f"economy = {io_path}\nelasticities = {el_path}\n"
+            f"prefs = {write_prefs(tmp_path)}\nshocks = {write_shocks(tmp_path)}\n"
+            f"panel = {TestEstimate().write_panel(tmp_path)}\ncount = 5\n"
+            f"outdir = {tmp_path / 'out'}\n{key} = {value}\n"
+        )
+        rc = main(["--config", str(cfg), subcommand])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage:") and "invalid choice" in err
+        assert "Traceback" not in err
+
+    def test_negative_kappa_with_exponent_parses_in_every_form(
+            self, tmp_path, capsys):
+        io_path, el_path = write_economy(tmp_path)
+        base = ["aggregate", "--economy", io_path, "--elasticities", el_path,
+                "--prefs", write_prefs(tmp_path), "--shocks",
+                write_shocks(tmp_path)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = -1e-3\n")
+        outs = []
+        for argv in (["--config", str(cfg), *base], [*base, "--kappa", "-1e-3"],
+                     [*base, "--kappa=-1e-3"]):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert main(base) == 0
+        assert capsys.readouterr().out != outs[0]  # kappa 0 differs
+
+    def test_bad_config_value_fails_under_a_flag_override(self, tmp_path,
+                                                         capsys):
+        io_path, el_path = write_economy(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"economy = {io_path}\nelasticities = {el_path}\n"
+                       f"prefs = {write_prefs(tmp_path)}\ncount = abc\n")
+        rc = main(["--config", str(cfg), "simulate", "--count", "5",
+                   "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage:") and "argument --count" in err
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_parses_flat_file(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("max-iter = 500\n\n# note\nsigma=0.3\n")
@@ -786,6 +838,8 @@ class TestExperimentEdgeCases:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kappa", ["1e308", "-1e308"])
     def test_growth_beyond_the_float_range(self, tmp_path, capsys, kappa):
+        # Every method fails: the report is written, then the first
+        # method's error ends the run.
         io_path, el_path = write_economy(tmp_path)
         out = tmp_path / "out"
         rc = main([
@@ -793,7 +847,8 @@ class TestExperimentEdgeCases:
             "--prefs", write_prefs(tmp_path), "--count", "5",
             f"--kappa={kappa}", "--outdir", str(out),
         ])
-        assert rc == 0 and capsys.readouterr().err == ""
+        assert rc == 1
+        assert single_json_error(capsys)["error"] == "NonPositivePrice"
         text = (out / "report.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
         report = json.loads(text)
@@ -967,9 +1022,8 @@ class TestCliFuzz:
             "--pi0": ["0", "-1", "nan", "abc"],
         }),
         "aggregate": (("economy", "elasticities", "prefs", "shocks"), {
-            # kappa 1e308 puts ln H beyond the float range: a domain
-            # error, as is --kappa=-1e308 (see TestAggregate); argparse
-            # reads a bare "-1e308" as a flag, a usage error.
+            # kappa +-1e308 puts ln H beyond the float range: a domain
+            # error (see TestAggregate).
             "--method": ["bogus"],
             "--kappa": ["nan", "inf", "abc", "1e308", "-1e308"],
         }),
@@ -986,9 +1040,9 @@ class TestCliFuzz:
             "--count": ["0", "-3", "1.5", "abc"],
             # sigma 800 overflows exp: a domain error, not a usage error.
             "--sigma": ["0", "-1", "nan", "800"], "--workers": ["0", "abc"],
-            # kappa +-1e308 fails each method inside the report (see
-            # TestExperimentEdgeCases), so neither is rejected.
-            "--seed": ["abc"], "--kappa": ["nan"],
+            # kappa +-1e308 fails every method: a domain error after the
+            # report is written (see TestExperimentEdgeCases).
+            "--seed": ["abc"], "--kappa": ["nan", "1e308", "-1e308"],
         }),
     }
 
