@@ -63,7 +63,8 @@ def _with_config(argv):
     takes as one ``--flag=value`` token right after the subcommand.
 
     The command line's own flags come later, so they win, and argparse
-    checks a config value exactly as its flag.  The pre-parser reads
+    checks a config value exactly as its flag.  A key that no subcommand
+    takes is a usage error.  The pre-parser reads
     ``--config`` as the full parser does (``--config=FILE``, abbreviations).
     """
     pre = argparse.ArgumentParser(prog="cesnet", add_help=False)
@@ -71,7 +72,11 @@ def _with_config(argv):
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     known = pre.parse_known_args(argv)[0]
     config = {} if known.config is None else load_config(known.config)
-    flags = _build_parser()[1].get(known.rest[0] if known.rest else None, {})
+    parser, by_subcommand = _build_parser()
+    unknown = set(config).difference(*by_subcommand.values())
+    if unknown:  # a key that only another subcommand takes is not an error
+        parser.error(f"unknown config key {min(unknown)!r} in {known.config}")
+    flags = by_subcommand.get(known.rest[0] if known.rest else None, {})
     at = len(argv) - len(known.rest) + 1
     items = [f"{flags[k]}={v}" for k, v in config.items() if k in flags]
     return [*argv[:at], *items, *argv[at:]]
@@ -128,7 +133,7 @@ def _build_parser():
     def sampling_opts(p):
         p.add_argument("--count", type=_positive_int, default=10000)
         p.add_argument("--sigma", type=_positive_float, default=0.2)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
         p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
                        help="threads that solve the blocks of draws (default: "
                             "the CPUs this process may use); a run too small "
@@ -139,7 +144,7 @@ def _build_parser():
     p = add("solve", _cmd_solve, "solve equilibrium prices for a shock")
     economy_opts(p)
     p.add_argument("--shocks", help="shock CSV (label,z); defaults to the benchmark")
-    p.add_argument("--pi0", type=float, default=1.0)
+    p.add_argument("--pi0", type=_positive_float, default=1.0)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--max-iter", type=_positive_int, default=10000)
     p.add_argument("--outdir", default=".")
@@ -147,7 +152,7 @@ def _build_parser():
     p = add("structure", _cmd_structure, "equilibrium structure and viability")
     economy_opts(p)
     p.add_argument("--shocks", help="shock CSV (label,z)")
-    p.add_argument("--pi0", type=float, default=1.0)
+    p.add_argument("--pi0", type=_positive_float, default=1.0)
     p.add_argument("--outdir", default=".")
 
     p = add("aggregate", _cmd_aggregate, "real GDP growth for one shock")
@@ -227,6 +232,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
+    return value
+
+
 # --- shared IO helpers ------------------------------------------------------
 
 def _load_shocks(args, economy):
@@ -257,9 +269,7 @@ def _outdir(args) -> Path:
 def _cmd_solve(args) -> int:
     economy = econ.load_economy(args.economy, args.elasticities)
     z = _load_shocks(args, economy)
-    result = eq.solve_fixed_point(
-        economy, z, pi0=args.pi0, tol=args.tol, max_iter=args.max_iter
-    )
+    result = eq.solve_fixed_point(economy, z, tol=args.tol, max_iter=args.max_iter)
     out = _outdir(args)
     _write_json(out / "solve_meta.json", {
         "status": result.status, "iterations": result.iterations,
@@ -267,19 +277,26 @@ def _cmd_solve(args) -> int:
     })
     if not result.converged:
         raise NotConverged(f"status {result.status}")
-    econ.write_csv(out / "prices.csv", ["label", "price"], economy.labels, result.pi)
+    econ.write_csv(out / "prices.csv", ["label", "price"], economy.labels,
+                   _at_numeraire(args.pi0, result.pi))
     return 0
+
+
+def _at_numeraire(pi0, pi):
+    """The prices at numeraire 1 scaled to ``pi0``; a price that overflows
+    to inf or underflows to 0 raises NonPositivePrice."""
+    with np.errstate(over="ignore"):
+        return econ.check_prices(pi0 * pi, pi.size)[0]
 
 
 def _cmd_structure(args) -> int:
     economy = econ.load_economy(args.economy, args.elasticities)
     z = _load_shocks(args, economy)
-    result = eq.solve_fixed_point(economy, z, pi0=args.pi0)
+    result = eq.solve_fixed_point(economy, z)
     if not result.converged:
         raise NotConverged(f"status {result.status}")
     structure = struct_mod.equilibrium_structure(
-        economy, result.pi, args.pi0, z
-    )
+        economy, _at_numeraire(args.pi0, result.pi), args.pi0, z)
     out = _outdir(args)
     header = ["input", *economy.labels]
     econ.write_csv(out / "b_matrix.csv", header, ["PRIMARY", *economy.labels],

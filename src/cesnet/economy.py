@@ -135,15 +135,10 @@ def check_prices(pi, n: int, pi0: float = 1.0) -> tuple[np.ndarray, float]:
         raise MalformedTable(f"price vector has shape {pi.shape}, expected ({n},)")
     if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
         raise NonPositivePrice(f"prices must be strictly positive, got {pi}")
-    return pi, check_numeraire(pi0)
-
-
-def check_numeraire(pi0) -> float:
-    """Validate the numeraire price: finite and strictly positive."""
     pi0 = float(pi0)
     if not np.isfinite(pi0) or pi0 <= 0:
         raise NonPositivePrice(f"numeraire must be strictly positive, got {pi0}")
-    return pi0
+    return pi, pi0
 
 
 def load_economy(io_table_path, elasticities_path) -> Economy:

@@ -1,9 +1,12 @@
 """Equilibrium price solvers: recursive fixed point and closed forms.
 
-The equilibrium condition is ``pi = diag(z)^{-1} c(pi; pi0)`` where c stacks
-the sector CES unit cost functions.  The recursion is a contraction on the
-positive orthant whenever a positive fixed point exists, so iterating from
-the benchmark converges globally; nonexistence shows up as divergence.
+The equilibrium condition is ``pi = diag(z)^{-1} c(pi; 1)`` where c stacks
+the sector CES unit cost functions of (pi0, pi), here at the numeraire
+pi0 = 1.  Prices are homogeneous of degree one in pi0, so the solvers work
+at pi0 = 1 only: the prices at another numeraire are pi0 times theirs.  The
+recursion is a contraction on the positive orthant whenever a positive fixed
+point exists, so iterating from the benchmark converges globally;
+nonexistence shows up as divergence.
 
 Closed forms exist for uniform elasticity (any gamma != 0, a linear solve
 for pi^gamma) and for the Cobb-Douglas economy (gamma = 0, a linear solve
@@ -21,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import (
-    Economy,
-    check_numeraire,
-    check_prices,
-    check_shock,
-    check_shock_matrix,
-)
-from .errors import MalformedTable, NoPositiveSolution, SingularSystem
+from .economy import Economy, check_prices, check_shock, check_shock_matrix
+from .errors import NoPositiveSolution, SingularSystem
 
 #: Below this |gamma| the CES power form is replaced by its log-limit.
 GAMMA_SWITCH = 1e-8
@@ -150,12 +147,7 @@ def cost_map(economy: Economy, pi, z, pi0: float = 1.0) -> np.ndarray:
 
 
 def solve_fixed_point(
-    economy: Economy,
-    z,
-    pi0: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    pi_init=None,
+    economy: Economy, z, *, tol: float = 1e-10, max_iter: int = 10000,
 ) -> EquilibriumResult:
     """Iterate the price recursion from the benchmark until convergence.
 
@@ -164,22 +156,12 @@ def solve_fixed_point(
     overflow guard).
     """
     z = check_shock(z, economy.n)
-    pi = np.ones(economy.n) if pi_init is None else pi_init
-    pi, pi0 = check_prices(pi, economy.n, pi0)
-    batch = solve_fixed_point_batch(
-        economy, z[None, :], pi0=pi0, tol=tol, max_iter=max_iter,
-        pi_init=pi[None, :],
-    )
-    return batch.row(0)
+    return solve_fixed_point_batch(
+        economy, z[None, :], tol=tol, max_iter=max_iter).row(0)
 
 
 def solve_fixed_point_batch(
-    economy: Economy,
-    Z,
-    pi0: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    pi_init=None,
+    economy: Economy, Z, *, tol: float = 1e-10, max_iter: int = 10000,
 ) -> EquilibriumBatch:
     """Iterate the price recursion for every row of a (K, n) shock matrix.
 
@@ -189,28 +171,16 @@ def solve_fixed_point_batch(
     ROUND_FLOATS), so that a long tail of a few slow rows costs little more
     than their sweeps.
     Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
-    for bit.  ``pi_init`` is an optional (K, n) matrix of starting prices;
-    a row that is not strictly positive raises what ``check_prices`` raises.
+    for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     Z = check_shock_matrix(Z, economy.n)
-    pi0 = check_numeraire(pi0)
     K, n = Z.shape
-    if pi_init is not None:
-        pi_init = np.asarray(pi_init, dtype=float)
-        if pi_init.shape != (K, n):
-            raise MalformedTable(
-                f"starting prices have shape {pi_init.shape}, expected {(K, n)}")
-        valid = np.all(np.isfinite(pi_init) & (pi_init > 0), axis=1)
-        if not valid.all():
-            check_prices(pi_init[np.argmin(valid)], n)
     costs = _cost_kernel(economy)
-    paug = np.empty((K, n + 1))
-    paug[:, 0] = pi0
-    paug[:, 1:] = 1.0 if pi_init is None else pi_init
+    paug = np.ones((K, n + 1))
     pi = np.empty((K, n))
     iterations = np.full(K, max_iter)
     residual = np.empty(K)
@@ -223,7 +193,7 @@ def solve_fixed_point_batch(
         m = max(1, min(m, MAX_ROUND_SWEEPS, max_iter - it))
         seq = np.empty((m + 1, rows.size, n + 1))
         seq[0] = paug
-        seq[1:, :, 0] = pi0
+        seq[1:, :, 0] = 1.0
         # A row that diverges mid-round is swept on to the end of the round
         # and its later iterates are dropped below, so their zero, inf and
         # NaN prices must not warn, nor the inf - inf of their steps.
@@ -258,21 +228,21 @@ def solve_fixed_point_batch(
     return EquilibriumBatch(pi, iterations, residual, status)
 
 
-def solve_uniform_ces(economy: Economy, z, gamma: float, pi0: float = 1.0) -> np.ndarray:
+def solve_uniform_ces(economy: Economy, z, gamma: float) -> np.ndarray:
     """Closed-form prices for a uniform-elasticity economy (gamma != 0).
 
     Raises NoPositiveSolution if the equilibrium does not exist in the
     positive orthant and SingularSystem if ``diag(z)^gamma - A`` is not
     invertible.
     """
-    return _uniform_ces_row(economy, z, gamma, pi0)
+    return _uniform_ces_row(economy, z, gamma)
 
 
-def _uniform_ces_row(economy, z, gamma, pi0=1.0):
+def _uniform_ces_row(economy, z, gamma):
     """The uniform-CES prices of one shock, or its status's error.  Both
     public closed forms call this, so that neither runs inside the other."""
     z = check_shock(z, economy.n)
-    pi, status = solve_uniform_ces_batch(economy, z[None, :], gamma, pi0)
+    pi, status = solve_uniform_ces_batch(economy, z[None, :], gamma)
     if status[0] == SINGULAR:
         raise SingularSystem("Singular matrix")
     if status[0] == NO_POSITIVE_SOLUTION:
@@ -281,10 +251,10 @@ def _uniform_ces_row(economy, z, gamma, pi0=1.0):
     return pi[0]
 
 
-def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0):
+def solve_uniform_ces_batch(economy: Economy, Z, gamma: float):
     """Uniform-elasticity prices for every row of a (K, n) shock matrix.
 
-    One stacked solve of ``q (diag(z)^gamma - A) = a0 * pi0^gamma`` for
+    One stacked solve of ``q (diag(z)^gamma - A) = a0`` for
     q = pi^gamma, then the 1/gamma power.  Returns ``(pi, status)``: the
     prices and each row's status, "converged" for a positive q,
     "singular" for a singular matrix and "no_positive_solution" otherwise;
@@ -293,11 +263,10 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float, pi0: float = 1.0)
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use solve_cobb_douglas")
     Z = check_shock_matrix(Z, economy.n)
-    pi0 = check_numeraire(pi0)
     K, n = Z.shape
     M = np.multiply((Z**gamma)[:, :, None], np.eye(n))
     M -= economy.A
-    rhs = np.broadcast_to(economy.a0 * pi0**gamma, (K, n))
+    rhs = np.broadcast_to(economy.a0, (K, n))
     q, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
     status = np.full(K, CONVERGED, dtype=object)
     status[~np.all(np.isfinite(q) & (q > 0), axis=1)] = NO_POSITIVE_SOLUTION

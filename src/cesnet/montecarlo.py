@@ -56,6 +56,8 @@ class ShockConfig:
             raise ValueError("sigma must be positive and finite")
         if not np.isfinite(self.mean):
             raise ValueError("mean must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

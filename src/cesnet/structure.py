@@ -14,7 +14,7 @@ import numpy as np
 
 from .economy import Economy, check_prices, check_shock, cost_shares
 from .equilibrium import unit_costs
-from .errors import NotAnEquilibrium
+from .errors import NonPositivePrice, NotAnEquilibrium
 
 #: Max relative residual of the equilibrium condition tolerated by the
 #: structure formulas.  Looser than the solver tolerance on purpose.
@@ -56,11 +56,15 @@ def gradient_cost(economy: Economy, pi, pi0, z):
     pi, pi0, _, c = _require_equilibrium(economy, pi, pi0, z)
     g = economy.gamma
     paug = np.concatenate(([pi0], pi))
-    full = (
-        economy.augmented_coefficients()
-        * paug[:, None] ** (g[None, :] - 1.0)
-        * c[None, :] ** (1.0 - g[None, :])
-    )
+    # The two powers overflow and underflow apart at extreme price levels.
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = (
+            economy.augmented_coefficients()
+            * paug[:, None] ** (g[None, :] - 1.0)
+            * c[None, :] ** (1.0 - g[None, :])
+        )
+    if not np.all(np.isfinite(full)):
+        raise NonPositivePrice("cost gradient leaves the float range at these prices")
     return full[1:, :], full[0, :]
 
 

@@ -100,6 +100,41 @@ class TestSolve:
         assert single_json_error(capsys) == {
             "error": "NotConverged", "message": "status diverged"}
 
+    @staticmethod
+    def prices(tmp_path, pi0, *shocks):
+        io_path, el_path = write_economy(tmp_path)
+        out = tmp_path / f"out{pi0}"
+        rc = main(["solve", "--economy", io_path, "--elasticities", el_path,
+                   *shocks, "--pi0", pi0, "--outdir", str(out)])
+        assert rc == 0
+        return np.array([float(r[1]) for r in read_csv(out / "prices.csv")[1:]])
+
+    def test_numeraire_scales_the_prices(self, tmp_path):
+        # Prices are homogeneous of degree one in the numeraire.
+        shocks = ["--shocks", write_shocks(tmp_path)]
+        base = self.prices(tmp_path, "1", *shocks)
+        np.testing.assert_array_equal(self.prices(tmp_path, "2.5", *shocks),
+                                      2.5 * base)
+
+    @pytest.mark.parametrize("pi0", ["1e-9", "1e13"])
+    def test_extreme_numeraire_is_exact(self, tmp_path, pi0):
+        # The solver's tolerance and overflow guard are absolute, so they
+        # hold at the numeraire 1 whatever --pi0 is.
+        assert list(self.prices(tmp_path, pi0)) == [float(pi0)] * 2
+
+    def test_price_beyond_the_float_range_is_domain_error(self, tmp_path,
+                                                         capsys):
+        # Prices at numeraire 1 are above 2 under halved productivity, so
+        # 1e308 times them is inf.
+        io_path, el_path = write_economy(tmp_path)
+        z_path = write_shocks(tmp_path, steel=0.5, corn=0.5)
+        rc = main(["solve", "--economy", io_path, "--elasticities", el_path,
+                   "--shocks", z_path, "--pi0", "1e308",
+                   "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert single_json_error(capsys)["error"] == "NonPositivePrice"
+        assert not (tmp_path / "out" / "prices.csv").exists()
+
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         io_path, el_path = write_economy(tmp_path)
         bad = tmp_path / "io_bad.csv"
@@ -290,6 +325,35 @@ class TestStructure:
         )
         meta = json.loads((out / "structure.json").read_text())
         assert meta["viable"] is True
+
+    def test_shares_do_not_depend_on_the_numeraire(self, tmp_path):
+        io_path, el_path = write_economy(tmp_path)
+        z_path = write_shocks(tmp_path)
+        matrices = []
+        for pi0 in ("1", "2.5"):
+            out = tmp_path / f"out{pi0}"
+            assert main(["structure", "--economy", io_path, "--elasticities",
+                         el_path, "--shocks", z_path, "--pi0", pi0,
+                         "--outdir", str(out)]) == 0
+            matrices.append([[[float(v) for v in row[1:]]
+                              for row in read_csv(out / name)[1:]]
+                             for name in ("b_matrix.csv", "s_matrix.csv")])
+        for at_one, at_scaled in zip(*matrices):
+            np.testing.assert_allclose(at_scaled, at_one, rtol=1e-12)
+
+    @pytest.mark.parametrize("pi0", ["1e-300", "1e300"])
+    def test_gradient_beyond_the_float_range_is_domain_error(
+            self, tmp_path, capsys, pi0):
+        # Steel's pi^(gamma - 1) = pi^-1.5 overflows at 1e-300 and its
+        # c^(1 - gamma) at 1e300; their product must not reach b_matrix.csv.
+        io_path, el_path = write_economy(tmp_path)
+        rc = main(["structure", "--economy", io_path, "--elasticities", el_path,
+                   "--pi0", pi0, "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "NonPositivePrice",
+            "message": "cost gradient leaves the float range at these prices"}
+        assert not (tmp_path / "out").exists()
 
     def test_divergence_reports_json_error(self, tmp_path, capsys):
         io_path, el_path = write_economy(tmp_path)
@@ -766,6 +830,20 @@ class TestConfig:
         assert err.startswith("usage:") and "argument --count" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # A misspelt key would otherwise leave its option at the default.
+        io_path, el_path = write_economy(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"economy = {io_path}\nelasticities = {el_path}\n"
+                       f"prefs = {write_prefs(tmp_path)}\ncount = 5\n"
+                       "sigmaa = 0.9\n")
+        rc = main(["--config", str(cfg), "simulate",
+                   "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage:") and "unknown config key 'sigmaa'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_parses_flat_file(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("max-iter = 500\n\n# note\nsigma=0.3\n")
@@ -1042,7 +1120,7 @@ class TestCliFuzz:
             "--sigma": ["0", "-1", "nan", "800"], "--workers": ["0", "abc"],
             # kappa +-1e308 fails every method: a domain error after the
             # report is written (see TestExperimentEdgeCases).
-            "--seed": ["abc"], "--kappa": ["nan", "1e308", "-1e308"],
+            "--seed": ["abc", "-1"], "--kappa": ["nan", "1e308", "-1e308"],
         }),
     }
 

@@ -8,6 +8,7 @@ from cesnet.equilibrium import (
     cost_map,
     solve_cobb_douglas,
     solve_fixed_point,
+    solve_fixed_point_batch,
     solve_leontief,
     solve_uniform_ces,
     unit_cost,
@@ -165,29 +166,17 @@ class TestProperties:
             assert res.converged
             assert np.max(np.abs(res.pi - pi_closed)) < 1e-8
 
-    def test_numeraire_homogeneity_closed_forms(self):
-        e = random_economy(7, 4, gamma=0.5)
-        z = np.exp(0.05 * np.random.default_rng(7).standard_normal(4))
-        base = solve_uniform_ces(e, z, 0.5, pi0=1.0)
-        scaled = solve_uniform_ces(e, z, 0.5, pi0=3.0)
-        np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
-
     @pytest.mark.parametrize("pi0", [0.0, -1.0, np.nan])
     def test_bad_numeraire_is_a_nonpositive_price(self, econ4, pi0):
-        # One numeraire check for every entry point that takes pi0.
-        z = np.ones(4)
         with pytest.raises(NonPositivePrice, match="numeraire"):
-            solve_fixed_point(econ4, z, pi0=pi0)
-        with pytest.raises(NonPositivePrice, match="numeraire"):
-            solve_uniform_ces(econ4, z, 0.5, pi0=pi0)
-        with pytest.raises(NonPositivePrice, match="numeraire"):
-            unit_costs(econ4, z, pi0)
+            unit_costs(econ4, np.ones(4), pi0)
 
-    def test_numeraire_homogeneity_recursion(self, econ4):
-        z = np.exp(0.05 * np.random.default_rng(8).standard_normal(4))
-        base = solve_fixed_point(econ4, z, pi0=1.0, tol=1e-13)
-        scaled = solve_fixed_point(econ4, z, pi0=2.5, tol=1e-13)
-        np.testing.assert_allclose(scaled.pi, 2.5 * base.pi, rtol=1e-9)
+    def test_solver_settings_are_keyword_only(self, econ4):
+        # A positional third argument must not be read as the tolerance.
+        with pytest.raises(TypeError):
+            solve_fixed_point(econ4, np.ones(4), 2.0)
+        with pytest.raises(TypeError):
+            solve_fixed_point_batch(econ4, np.ones((1, 4)), 2.0)
 
     def test_map_monotonicity(self, econ4):
         rng = np.random.default_rng(9)
@@ -197,12 +186,17 @@ class TestProperties:
         assert np.all(cost_map(econ4, lo, z) <= cost_map(econ4, hi, z))
 
     def test_benchmark_uniqueness_from_random_starts(self, econ4):
+        # The cost map is a contraction: iterated from any positive start it
+        # reaches the one benchmark equilibrium, where every price is 1.
         rng = np.random.default_rng(10)
         for _ in range(100):
-            start = rng.uniform(0.1, 10.0, 4)
-            res = solve_fixed_point(econ4, np.ones(4), pi_init=start)
-            assert res.converged
-            np.testing.assert_allclose(res.pi, 1.0, atol=1e-9)
+            pi = rng.uniform(0.1, 10.0, 4)
+            for _ in range(1000):
+                new = cost_map(econ4, pi, np.ones(4))
+                if np.max(np.abs(new - pi)) <= 1e-12:
+                    break
+                pi = new
+            np.testing.assert_allclose(new, 1.0, atol=1e-9)
 
     def test_cobb_douglas_continuity_in_gamma(self):
         base = random_economy(11, 4)

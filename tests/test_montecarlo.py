@@ -89,6 +89,11 @@ class TestShockStream:
         with pytest.raises(ValueError, match="sigma"):
             ShockConfig(sigma=-1.0)
 
+    def test_config_rejects_negative_seed(self):
+        # default_rng([seed, k]) takes no negative entropy.
+        with pytest.raises(ValueError, match="seed"):
+            ShockConfig(seed=-1)
+
     @pytest.mark.parametrize("sigma, mean, first_bad", [
         (200.0, 0.0, 575), (800.0, 0.0, 0), (0.2, 750.0, 0), (0.2, -750.0, 0)])
     def test_overflowing_stream_names_first_bad_draw(self, sigma, mean,
