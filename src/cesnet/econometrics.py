@@ -54,6 +54,8 @@ class PanelDataset:
     y: np.ndarray
     x: np.ndarray
     instruments: dict[str, np.ndarray] = field(default_factory=dict)
+    #: The kept rows' order by (entity, period), from the uniqueness check.
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entity = np.asarray(self.entity)
@@ -83,6 +85,7 @@ class PanelDataset:
                 f"entity {e[twin[0]].item()!r} has more than one row "
                 f"for period {t[twin[0]].item()!r}"
             )
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "entity", entity)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "y", y[keep])
@@ -387,9 +390,9 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     col_name = f"{transform}_{name}"
     if col_name in panel.instruments:
         return col_name, panel
-    # The panel's (entity, period) pairs are distinct, so after one sort by
+    # The panel's (entity, period) pairs are distinct, so in its order by
     # them a row's neighbour is the next row when both share an entity.
-    order = np.lexsort((panel.period, panel.entity))
+    order = panel.order
     entity = panel.entity[order]
     same = entity[1:] == entity[:-1]
     v = panel.instruments[name][order]

@@ -93,14 +93,89 @@ def sample_shocks(n: int, config: ShockConfig) -> Iterator[np.ndarray]:
         yield shock_sample(n, config, k)
 
 
+def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``default_rng([seed, k])`` starts
+    from, for k = 0 .. count - 1.
+
+    This is NumPy's ``SeedSequence`` pool mixing and ``generate_state(4,
+    uint64)``, run for every k at once, followed by PCG64's ``set_seed``;
+    NEP 19 keeps both fixed.  Values are Python ints while they do not
+    depend on k and uint64 arrays once they do, masked to 32 bits either
+    way.  The entropy words are the seed's little-endian uint32 words, then
+    k's one word (a matrix of 2**32 rows is out of reach), zero-padded to
+    the four-word pool; words beyond four are hashed into the pool.
+    """
+    mask = 0xFFFFFFFF
+    init_a, mult_a = 0x43B0D7E5, 0x931E8875
+    init_b, mult_b = 0x8B51F9DD, 0x58F38DED
+    mix_mult_l, mix_mult_r = 0xCA01F9DD, 0x4973F715
+    pcg_mult, mask128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    words = [seed >> s & mask for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(count, dtype=np.uint64))
+    words += [0] * (4 - len(words))
+    hash_a = init_a
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ hash_a
+        hash_a = hash_a * mult_a & mask
+        v = v * hash_a & mask
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (mix_mult_l * x - mix_mult_r * y) & mask
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_b, state = init_b, []
+    for i in range(8):
+        v = pool[i % 4] ^ hash_b
+        hash_b = hash_b * mult_b & mask
+        v = v * hash_b & mask
+        state.append(v ^ v >> 16)
+    # Little-endian pairs of words make the uint64 words (seed high, seed
+    # low, inc high, inc low); set_seed takes two LCG steps from state 0.
+    s_hi, s_lo, i_hi, i_lo = (
+        (state[2 * j] | state[2 * j + 1] << 32).tolist() for j in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & mask128
+        states.append(((((a << 64 | b) + inc) * pcg_mult + inc) & mask128, inc))
+    return states
+
+
 def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
     """The stream as a (count, n) matrix; row k is ``shock_sample(n, config, k)``.
 
-    A draw whose exponential overflows to inf or underflows to 0 (a huge
-    ``sigma`` or ``mean``) raises NonPositiveValue naming the draw.
+    Every row's generator is seeded at once (see ``_pcg64_states``), and
+    the last row is checked against ``shock_sample``, so a NumPy whose
+    ``default_rng`` seeds differently raises RuntimeError instead of
+    giving another stream.  A draw whose exponential overflows to inf or
+    underflows to 0 (a huge ``sigma`` or ``mean``) raises NonPositiveValue
+    naming the draw.
     """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    shocks = np.empty((config.count, n))
+    for row, (state, inc) in zip(shocks, _pcg64_states(config.seed, config.count)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
+    shocks *= config.sigma
+    shocks += config.mean
     with np.errstate(over="ignore"):
-        shocks = np.array([shock_sample(n, config, k) for k in range(config.count)])
+        np.exp(shocks, out=shocks)
+        last = shock_sample(n, config, config.count - 1)
+    if last.tobytes() != shocks[-1].tobytes():
+        raise RuntimeError("this NumPy's default_rng does not seed as "
+                           "SeedSequence and PCG64 did; the shock stream differs")
     bad = ~np.all(np.isfinite(shocks) & (shocks > 0), axis=1)
     if bad.any():
         raise NonPositiveValue(

@@ -276,11 +276,16 @@ def test_distribution_independent_of_blocks(monkeypatch, method):
 
 
 def test_distribution_uses_one_row_per_draw(monkeypatch):
-    calls = []
-    real = montecarlo.shock_sample
-    monkeypatch.setattr(montecarlo, "shock_sample",
-                        lambda *a: calls.append(a) or real(*a))
+    # One shock matrix of one row per draw, and each row solved once.
+    matrices, solved = [], []
+    real_matrix = montecarlo.shock_matrix
+    real_batch = montecarlo.real_gdp_growth_batch
+    monkeypatch.setattr(montecarlo, "shock_matrix",
+                        lambda *a: matrices.append(real_matrix(*a)) or matrices[-1])
+    monkeypatch.setattr(montecarlo, "real_gdp_growth_batch",
+                        lambda e, p, Z, m: solved.append(len(Z)) or real_batch(e, p, Z, m))
     e = random_economy(0, 3)
     prefs = HouseholdPrefs(mu=random_shares(0, 3))
     simulate_distribution(e, prefs, ShockConfig(count=25, seed=2), GENERAL_CES)
-    assert len(calls) == 25
+    assert [Z.shape for Z in matrices] == [(25, 3)]
+    assert sum(solved) == 25

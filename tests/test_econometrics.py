@@ -394,6 +394,14 @@ class TestInstrumentTransforms:
         np.testing.assert_array_equal(p.period, [2, 3, 2, 3])
         np.testing.assert_array_equal(p.instruments["d_w"], [1.0, 2.0, 10.0, 20.0])
 
+    def test_panel_carries_the_order_of_its_kept_rows(self):
+        # The transforms reuse the order the uniqueness check sorted by.
+        p = PanelDataset(entity=np.array(["b", "a", "b", "a"]),
+                         period=np.array([2, 2, 1, 1]),
+                         y=np.array([0.0, np.nan, 0.0, 0.0]), x=np.zeros(4))
+        np.testing.assert_array_equal(p.entity[p.order], ["a", "b", "b"])
+        np.testing.assert_array_equal(p.period[p.order], [1, 1, 2])
+
     def test_plain_name_passthrough(self):
         panel = self.panel()
         name, p = apply_instrument_transform(panel, "w")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special, stats
@@ -58,14 +58,34 @@ class TestShockStream:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 12), count=st.integers(1, 40),
-           seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**130),
            sigma=st.floats(1e-3, 2.0), mean=st.floats(-1.0, 1.0))
+    @example(n=3, count=40, seed=2**100 + 3, sigma=0.2, mean=0.0)
+    @example(n=3, count=40, seed=2**130, sigma=0.2, mean=0.0)
     def test_matrix_rows_equal_indexed_draws(self, n, count, seed, sigma, mean):
+        # Seeds of 2**32 and more have several entropy words, and from
+        # 2**96 on more than the pool's four are hashed in.
         cfg = ShockConfig(count=count, sigma=sigma, seed=seed, mean=mean)
         Z = shock_matrix(n, cfg)
         assert Z.shape == (count, n)
         for k in range(count):
             assert Z[k].tobytes() == shock_sample(n, cfg, k).tobytes()
+
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("seed", [0, 20110101, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_matrix_rows_follow_numpy_default_rng(self, n, seed):
+        cfg = ShockConfig(count=2000, sigma=0.3, seed=seed, mean=-0.1)
+        Z = shock_matrix(n, cfg)
+        for k in range(cfg.count):
+            normals = np.random.default_rng([seed, k]).standard_normal(n)
+            assert Z[k].tobytes() == np.exp(-0.1 + 0.3 * normals).tobytes(), k
+
+    def test_matrix_refuses_a_numpy_that_seeds_otherwise(self, monkeypatch):
+        real = montecarlo.shock_sample
+        monkeypatch.setattr(montecarlo, "shock_sample",
+                            lambda *a: np.nextafter(real(*a), np.inf))
+        with pytest.raises(RuntimeError, match="default_rng"):
+            shock_matrix(3, ShockConfig(count=5, seed=1))
 
     def test_log_moments(self):
         cfg = ShockConfig(count=4000, sigma=0.3, seed=1, mean=0.1)
