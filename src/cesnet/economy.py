@@ -10,6 +10,7 @@ therefore sum to one.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, field
 
@@ -233,38 +234,109 @@ def cost_shares(economy: Economy, pi, pi0: float = 1.0, z=None) -> np.ndarray:
     return economy.augmented_coefficients() * ratio ** (-economy.gamma[None, :])
 
 
-def read_csv_rows(path, name, width=None) -> list[list[str]]:
-    """The non-blank rows of the UTF-8 CSV file ``name`` at ``path``.
+def read_csv_columns(path, name, width=None) -> list[list[str]]:
+    """The columns of the non-blank rows of the UTF-8 CSV file ``name`` at
+    ``path``: column j lists the rows' cells j.
 
     Every input file is read here.  A row whose cells are all blank is
     dropped; the others are numbered from 1, a header being row 1.  Given
     ``width`` (a field count, or ``"first"`` for the first row's), a row of
-    another width raises ``MalformedTable("<name> row <i> has <k> fields")``.
-    A byte that is not UTF-8 raises UnicodeDecodeError naming the path.
+    another width raises ``MalformedTable("<name> row <i> has <k> fields")``;
+    without it, rows may differ in width, and only the columns that every
+    row has are returned.  A byte that is not UTF-8 raises
+    UnicodeDecodeError naming the path.
+
+    The file's text is read once.  Text that :func:`_plain_lines` accepts
+    is split on its line ends and commas with ``str`` methods, into one flat
+    list of cells that each column slices; any other text is parsed by
+    ``csv.reader``.  Both give the same cells.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = None  # csv.reader reads the file again, to raise as it did
+    lines = None if text is None else _plain_lines(text)
+    if lines is None:
+        rows = _csv_rows(path, text)
+        widths = list(map(len, rows))
+    else:
+        widths = [line.count(",") + 1 for line in lines]
+    del text
+    if width == "first":
+        width = widths[0] if widths else 0
+    distinct = set(widths)
+    if width is not None and distinct - {width}:
+        i = next(i for i, k in enumerate(widths, 1) if k != width)
+        raise MalformedTable(f"{name} row {i} has {widths[i - 1]} fields")
+    if lines is None or len(distinct) != 1:
+        if lines is not None:
+            rows = [line.split(",") for line in lines]
+        return [list(col) for col in zip(*rows)]
+    # Hold the lines, their joined text and the cells two at a time.
+    joined = ",".join(lines)
+    del lines
+    cells = joined.split(",")
+    del joined
+    return [cells[j::widths[0]] for j in range(widths[0])]
+
+
+#: A line end, a line of blank cells, and a line end.
+_BLANK_LINE = re.compile(r"\n[\s,]*\n").search
+
+
+def _plain_lines(text):
+    """The non-blank lines of ``text``, if ``csv.reader`` would split each
+    of them on its commas alone; else None.
+
+    That holds when the text has no ``"`` (no quoting), no NUL (which
+    Python 3.10's ``csv`` rejects), line ends all LF or all CRLF (a bare CR
+    also ends a row for ``csv.reader``), and no line longer than
+    ``csv.field_size_limit()``.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    sep = "\r\n" if "\r" in text else "\n"
+    lines = text.split(sep)
+    if sep == "\r\n" and not len(lines) - 1 == text.count("\r") == text.count("\n"):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if not lines[-1]:
+        lines.pop()  # the empty line after the text's last line end
+    if lines and (_BLANK_LINE(text) or not _has_cell(lines[0])
+                  or not _has_cell(lines[-1])):
+        lines = list(filter(_has_cell, lines))
+    return lines
+
+
+def _has_cell(line) -> bool:
+    """Whether a line of text that splits on its commas alone has a cell
+    that is not blank."""
+    return bool(line.replace(",", "").strip())
+
+
+def _csv_rows(path, text) -> list[list[str]]:
+    """The non-blank rows of ``text``, the file at ``path``, as
+    ``csv.reader`` parses them; with no text, the file is read again."""
+    try:
+        with (open(path, newline="", encoding="utf-8") if text is None
+              else io.StringIO(text, newline="")) as fh:
+            return [row for row in csv.reader(fh) if "".join(row).strip()]
     except UnicodeDecodeError as exc:
         exc.reason += f" in {path}"
         raise
     except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
         raise MalformedTable(f"{path}: {exc}") from exc
-    if width == "first":
-        width = len(rows[0]) if rows else 0
-    if width is not None and set(map(len, rows)) - {width}:
-        i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
-        raise MalformedTable(f"{name} row {i} has {len(row)} fields")
-    return rows
 
 
-def read_csv_table(path, name) -> tuple[list[str], list[tuple[str, ...]]]:
+def read_csv_table(path, name) -> tuple[list[str], list[list[str]]]:
     """The header (the first non-blank row) of a CSV file whose rows are all
-    as wide, and its columns: each the tuple of its cells from row 2 on."""
-    rows = read_csv_rows(path, name, width="first")
-    if len(rows) < 2:
+    as wide, and its columns: each the list of its cells from row 2 on."""
+    columns = read_csv_columns(path, name, width="first")
+    if not columns or len(columns[0]) < 2:
         raise MalformedTable(f"{name} needs a header row and data rows")
-    return [cell.strip() for cell in rows[0]], list(zip(*rows[1:]))
+    return [col[0].strip() for col in columns], [col[1:] for col in columns]
 
 
 def parse_column(cells, convert, what, name, first_row) -> np.ndarray:
@@ -314,8 +386,8 @@ def load_labelled_vector(path, labels, what) -> np.ndarray:
     rows or a label with no row raises :class:`MalformedTable`; ``what``
     names the file.
     """
-    first, rows, values = _value_column(path, what, 1, width=2)
-    keys = [row[0].strip() for row in rows]
+    first, keys, values = _value_column(path, what, 1, width=2)
+    keys = [key.strip() for key in keys]
     found = dict(zip(keys, values.tolist()))
     if len(found) != len(keys):
         seen = {}
@@ -333,25 +405,25 @@ def load_labelled_vector(path, labels, what) -> np.ndarray:
 def load_column(path) -> np.ndarray:
     """The first cell of each row of a series CSV file, as finite floats;
     later cells are ignored."""
-    first, rows, values = _value_column(path, "series", 0)
+    first, cells, values = _value_column(path, "series", 0)
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
-        raise MalformedTable(f"non-finite value {rows[i][0]!r} in series row {first + i}")
+        raise MalformedTable(f"non-finite value {cells[i]!r} in series row {first + i}")
     return values
 
 
 def _value_column(path, name, col, width=None):
-    """``(first_row, rows, values)``: the rows of a CSV file from its first
-    data row on, and their cells ``col`` as floats.  A first row whose cell
+    """``(first_row, keys, values)``: from the first data row of a CSV file
+    on, its cells 0 and its cells ``col`` as floats.  A first row whose cell
     ``col`` is not a number is a header, such as ``sector,sigma``.
     """
-    rows = read_csv_rows(path, name, width)
+    columns = read_csv_columns(path, name, width)
+    keys, cells = (columns[0], columns[col]) if columns else ([], [])
     first = 1
-    if rows:
+    if cells:
         try:
-            float(rows[0][col])
+            float(cells[0])
         except ValueError:
             first = 2
-    rows = rows[first - 1:]
-    cells = [row[col] for row in rows]
-    return first, rows, parse_column(cells, float, "value", name, first)
+    return first, keys[first - 1:], parse_column(
+        cells[first - 1:], float, "value", name, first)

@@ -308,7 +308,8 @@ def hp_filter(series, lam: float) -> tuple[np.ndarray, np.ndarray]:
     exactly via the symmetric pentadiagonal system ``(I + lam K'K) tau = y``.
     A lambda so large that the system overflows or is no longer positive
     definite in floating point (from about 1e15 on) raises
-    ``SingularSystem``.
+    ``SingularSystem``, and so does a solve whose residual cannot vouch for
+    the trend (see below).
     """
     # Imported here: scipy.linalg is slow to load and only this needs it.
     from scipy.linalg import solveh_banded
@@ -338,4 +339,18 @@ def hp_filter(series, lam: float) -> tuple[np.ndarray, np.ndarray]:
         trend = solveh_banded(ab, y, lower=True)
     except np.linalg.LinAlgError:
         raise SingularSystem(singular) from None
+    # The system is I + lam K'K >= I, so the trend is off by at most the
+    # residual's 2-norm.  A trend vouched for to fewer than half the digits
+    # a stable solve of T equations keeps, sqrt(T * eps) of the series, is
+    # lost to rounding: at lambda 1e100 the solve returns about 1e-85.
+    residual = ab[0] * trend - y
+    for k in (1, 2):
+        residual[k:] += ab[k, :-k] * trend[:-k]
+        residual[:-k] += ab[k, :-k] * trend[k:]
+    error_bound = np.linalg.norm(residual)
+    limit = np.sqrt(T * np.finfo(float).eps) * np.linalg.norm(y)
+    if not error_bound <= limit:
+        raise SingularSystem(
+            f"HP trend with lambda = {lam:g} and T = {T} is lost to rounding: "
+            f"residual {error_bound:.3g} exceeds {limit:.3g}")
     return trend, y - trend

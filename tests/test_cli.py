@@ -502,6 +502,20 @@ class TestQqAndHp:
         expected, _ = hp_filter(y, 129600.0)
         np.testing.assert_array_equal(trend, expected)
 
+    def test_trend_lost_to_rounding_exits_1(self, tmp_path, capsys):
+        # At lambda 1e100 the banded solve succeeds but returns a trend of
+        # about 1e-85: its residual is the size of the series.
+        y = np.random.default_rng(37).standard_normal(40).cumsum()
+        src = tmp_path / "y.csv"
+        src.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        out = tmp_path / "out"
+        assert main(["hp", "--input", str(src), "--lam", "1e100",
+                     "--outdir", str(out)]) == 1
+        err = single_json_error(capsys)
+        assert err["error"] == "SingularSystem"
+        assert "T = 40" in err["message"]
+        assert not out.exists()
+
 
 class TestImportCost:
     """``import cesnet.cli`` loads numpy and ``scipy.special`` only: the

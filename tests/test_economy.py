@@ -1,11 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from cesnet import economy
 from cesnet.economy import (
     Economy,
     benchmark_shares,
     cost_shares,
     load_economy,
+    read_csv_columns,
     save_economy,
 )
 from cesnet.errors import ColumnSumViolation, MalformedTable, NegativeCoefficient
@@ -152,6 +158,105 @@ class TestLoader:
         np.testing.assert_array_equal(e2.a0, e.a0 / colsums)
         np.testing.assert_array_equal(e2.gamma, e.gamma)
         assert e2.labels == e.labels
+
+
+def oracle_read_csv_rows(path, name, width=None) -> list[list[str]]:
+    """The reader before it returned columns, kept verbatim as the oracle:
+    every file went through ``csv.reader``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise MalformedTable(f"{path}: {exc}") from exc
+    if width == "first":
+        width = len(rows[0]) if rows else 0
+    if width is not None and set(map(len, rows)) - {width}:
+        i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
+        raise MalformedTable(f"{name} row {i} has {len(row)} fields")
+    return rows
+
+
+def outcome(read):
+    """What a read returns, or the class and message of what it raises."""
+    try:
+        return [list(col) for col in read()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Every character that quoting, line ends, blank cells or csv's NUL rule
+#: treat apart, with U+2028 and form feed, which str.splitlines() breaks on
+#: and csv does not.
+READER_CHARS = [",", '"', "\r", "\n", " ", "\t", "\0", "\u2028", "\x0c",
+                "a", "1", ".", "-"]
+CELL = st.text(alphabet=[c for c in READER_CHARS if c not in ",\r\n"],
+               max_size=4)
+ROWS = st.one_of(
+    st.lists(st.lists(CELL, min_size=1, max_size=3), max_size=6),
+    st.integers(1, 3).flatmap(lambda w: st.lists(
+        st.lists(CELL, min_size=w, max_size=w), max_size=6)),
+)
+READER_TEXTS = st.one_of(
+    st.text(alphabet=READER_CHARS, max_size=40),
+    st.text(alphabet=[c for c in READER_CHARS if c not in '"\r\0'], max_size=40),
+    st.builds(lambda rows, end, last: end.join(map(",".join, rows)) + last * end,
+              ROWS, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()),
+)
+
+
+def splits_plainly(text, limit):
+    """The rule for the split path: no quote, no NUL, line ends all LF or
+    all CRLF, and no line longer than the field size limit."""
+    if '"' in text or "\0" in text:
+        return False
+    if "\r" in text and not (text.count("\r") == text.count("\r\n")
+                             == text.count("\n")):
+        return False
+    return max(map(len, text.replace("\r\n", "\n").split("\n"))) <= limit
+
+
+class TestCsvReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=READER_TEXTS, width=st.sampled_from(["first", 2, None]),
+           limit=st.sampled_from([None, 1, 3]))
+    @example(text="a\n ", width=None, limit=None)
+    @example(text=" ,\r\na", width=None, limit=None)
+    @example(text="a,1\r\n\r\nb,2", width=2, limit=None)
+    def test_columns_equal_csv_reader(self, tmp_path, text, width, limit):
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        old_limit = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            want = outcome(lambda: zip(*oracle_read_csv_rows(path, "t", width)))
+            got = outcome(lambda: read_csv_columns(path, "t", width))
+            plain = economy._plain_lines(text) is not None
+            assert plain == splits_plainly(text, csv.field_size_limit())
+        finally:
+            csv.field_size_limit(old_limit)
+        assert got == want
+
+    @pytest.mark.parametrize("text", ["a,1\nb,2\n", "a,1\r\nb,2\r\n"])
+    def test_plain_text_takes_the_split_path(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        assert economy._plain_lines(text) == ["a,1", "b,2"]
+        assert read_csv_columns(path, "t", 2) == [["a", "b"], ["1", "2"]]
+
+    def test_nul_takes_the_csv_path(self, tmp_path):
+        # Python 3.10's csv rejects a NUL and 3.11's reads it as a
+        # character; either way the reader does what csv.reader does.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,\x00\nb,2\n")
+        assert economy._plain_lines(path.read_text()) is None
+        want = outcome(lambda: zip(*oracle_read_csv_rows(path, "t", 2)))
+        assert outcome(lambda: read_csv_columns(path, "t", 2)) == want
 
 
 class TestEconomyType:

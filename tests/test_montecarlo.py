@@ -350,6 +350,14 @@ class TestHpFilter:
         with pytest.raises(SingularSystem, match="T = 40"):
             hp_filter(y, lam)
 
+    @pytest.mark.parametrize("lam", [1e10, 1e14, 1e100])
+    def test_trend_lost_to_rounding_is_singular(self, lam):
+        # The solve succeeds, but I + lam K'K >= I bounds the trend's error
+        # by the residual, which here exceeds sqrt(T * eps) of the series.
+        y = np.random.default_rng(37).standard_normal(40).cumsum()
+        with pytest.raises(SingularSystem, match="T = 40 is lost to rounding"):
+            hp_filter(y, lam)
+
 
 def assert_same_bits(got, expected):
     got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
