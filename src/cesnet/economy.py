@@ -244,19 +244,22 @@ def read_csv_columns(path, name, width=None) -> list[list[str]]:
     another width raises ``MalformedTable("<name> row <i> has <k> fields")``;
     without it, rows may differ in width, and only the columns that every
     row has are returned.  A byte that is not UTF-8 raises
-    UnicodeDecodeError naming the path.
+    UnicodeDecodeError naming the path and the byte's offset in the file.
 
-    The file's text is read once.  Text that :func:`_plain_lines` accepts
-    is split on its line ends and commas with ``str`` methods, into one flat
-    list of cells that each column slices; any other text is parsed by
-    ``csv.reader``.  Both give the same cells.
+    The file's bytes are read and decoded once.  Text that
+    :func:`_plain_lines` accepts is split on its line ends and commas with
+    ``str`` methods, into one flat list of cells that each column slices;
+    any other text is parsed by ``csv.reader``.  Both give the same cells.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        text = None  # csv.reader reads the file again, to raise as it did
-    lines = None if text is None else _plain_lines(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
+    del data
+    lines = _plain_lines(text)
     if lines is None:
         rows = _csv_rows(path, text)
         widths = list(map(len, rows))
@@ -318,14 +321,10 @@ def _has_cell(line) -> bool:
 
 def _csv_rows(path, text) -> list[list[str]]:
     """The non-blank rows of ``text``, the file at ``path``, as
-    ``csv.reader`` parses them; with no text, the file is read again."""
+    ``csv.reader`` parses them."""
     try:
-        with (open(path, newline="", encoding="utf-8") if text is None
-              else io.StringIO(text, newline="")) as fh:
-            return [row for row in csv.reader(fh) if "".join(row).strip()]
-    except UnicodeDecodeError as exc:
-        exc.reason += f" in {path}"
-        raise
+        reader = csv.reader(io.StringIO(text, newline=""))
+        return [row for row in reader if "".join(row).strip()]
     except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
         raise MalformedTable(f"{path}: {exc}") from exc
 

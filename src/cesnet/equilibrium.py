@@ -34,11 +34,13 @@ GAMMA_SWITCH = 1e-8
 OVERFLOW_GUARD = 1e12
 
 #: Sweeps per convergence check.  For a few small rows the check costs more
-#: than a sweep, so a round runs as many sweeps as keep its power
-#: evaluations, m * rows * (n + 1) * n, within ROUND_FLOATS, and at most
+#: than a sweep, so a round runs as many sweeps as keep the powers it
+#: evaluates, m * rows * (n + 1) * u, within ROUND_FLOATS, and at most
 #: MAX_ROUND_SWEEPS; that also bounds the sweeps wasted past a row's
-#: retirement.  A row's iterates, and so its result, do not depend on the
-#: round length.
+#: retirement.  u counts the powers that the cost kernel takes of each price
+#: (one per distinct exponent when it shares them, else one per power-form
+#: column), plus one for the log when some column takes the log-limit.  A
+#: row's iterates, and so its result, do not depend on the round length.
 ROUND_FLOATS = 2**14
 MAX_ROUND_SWEEPS = 16
 
@@ -96,15 +98,28 @@ def unit_costs(economy: Economy, pi, pi0: float = 1.0) -> np.ndarray:
     """
     pi, pi0 = check_prices(pi, economy.n, pi0)
     paug = np.concatenate(([pi0], pi))
-    return _cost_kernel(economy)(paug[None, :])[0]
+    costs, _ = _cost_kernel(economy)
+    return costs(paug[None, :])[0]
 
 
 def _cost_kernel(economy: Economy):
-    """The unit-cost map on rows of augmented prices, (K, n + 1) -> (K, n).
+    """The unit-cost map on rows of augmented prices, (K, n + 1) -> (K, n),
+    and the number u of powers (and logs) that it takes of each price.
 
     No input validation; hot path of the solver.  Each row is computed with
     the same operations whatever K is, so a row's costs do not depend on the
     rows batched with it.
+
+    Columns with the same exponent share its powers: when the power-form
+    columns have at most half as many distinct exponents as columns, each
+    price is raised to each distinct exponent once, and the columns are
+    gathered from those powers into the same C-contiguous (K, n + 1, columns)
+    array that the einsum reads otherwise, so every output bit is the same.
+    The exponent operand of that power must stay strided, hence one row of
+    exponents per price: a vector holding one distinct exponent would be
+    broadcast with stride 0, and for a stride-0 exponent of -1, 0.5 or 2
+    numpy's float64 power takes 1/x, sqrt(x) or x*x, whose last bits can
+    differ from pow's.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -115,9 +130,16 @@ def _cost_kernel(economy: Economy):
     g_rest = g[rest]
     inv_rest = 1.0 / g_rest
     mixed = small.any()
+    exps, col = np.unique(g_rest, return_inverse=True)
+    if 2 * exps.size <= g_rest.size:
+        exps = np.repeat(exps[None, :], aug.shape[0], axis=0)
+    else:
+        exps, col = g_rest, None
 
     def costs(paug):
-        powers = paug[:, :, None] ** g_rest
+        powers = np.power(paug[:, :, None], exps)
+        if col is not None:  # col is in range; "clip" skips the check
+            powers = np.take(powers, col, axis=2, mode="clip")
         c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
         if not mixed:
             return c
@@ -128,7 +150,7 @@ def _cost_kernel(economy: Economy):
         out[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
         return out
 
-    return costs
+    return costs, exps.shape[-1] + int(mixed)
 
 
 def unit_cost(economy: Economy, j: int, pi, pi0: float = 1.0) -> float:
@@ -153,7 +175,9 @@ def solve_fixed_point(
 
     Returns an EquilibriumResult; status "diverged" signals that no positive
     equilibrium exists (an iterate left the positive orthant or exceeded the
-    overflow guard).
+    overflow guard).  A sweep converges when its max-norm step is at most
+    ``tol`` and at most ``sqrt(tol)`` times the smallest price, so that
+    prices far below 1 must also settle relative to their size.
     """
     z = check_shock(z, economy.n)
     return solve_fixed_point_batch(
@@ -179,7 +203,8 @@ def solve_fixed_point_batch(
         raise ValueError("max_iter must be at least 1")
     Z = check_shock_matrix(Z, economy.n)
     K, n = Z.shape
-    costs = _cost_kernel(economy)
+    costs, u = _cost_kernel(economy)
+    rel_tol = np.sqrt(tol)
     paug = np.ones((K, n + 1))
     pi = np.empty((K, n))
     iterations = np.full(K, max_iter)
@@ -189,7 +214,7 @@ def solve_fixed_point_batch(
     res = np.full(K, np.inf)
     it = 0
     while rows.size and it < max_iter:
-        m = ROUND_FLOATS // (rows.size * (n + 1) * n)
+        m = ROUND_FLOATS // (rows.size * (n + 1) * u)
         m = max(1, min(m, MAX_ROUND_SWEEPS, max_iter - it))
         seq = np.empty((m + 1, rows.size, n + 1))
         seq[0] = paug
@@ -209,8 +234,9 @@ def solve_fixed_point_batch(
         if lo > 0 and hi <= OVERFLOW_GUARD and step.min() > tol:
             continue  # no row is done: no NaN, no overflow, no convergence
         new = seq[1:, :, 1:]
-        diverged = ~((new.min(axis=2) > 0) & (new.max(axis=2) <= OVERFLOW_GUARD))
-        done = diverged | (step <= tol)
+        low = new.min(axis=2)
+        diverged = ~((low > 0) & (new.max(axis=2) <= OVERFLOW_GUARD))
+        done = diverged | ((step <= tol) & (step <= rel_tol * low))
         hit = done.any(axis=0)
         # The first sweep of the round at which each such row is done.
         at, r = done.argmax(axis=0)[hit], np.flatnonzero(hit)

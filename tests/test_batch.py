@@ -94,7 +94,7 @@ def reference_fixed_point(e, z, tol=1e-10, max_iter=10_000):
             return pi, it, np.inf, DIVERGED
         residual = np.max(np.abs(pi - paug[1:]))
         paug[1:] = pi
-        if residual <= tol:
+        if residual <= tol and residual <= np.sqrt(tol) * pi.min():
             return pi, it, residual, CONVERGED
     return paug[1:], max_iter, residual, MAX_ITERATIONS
 
@@ -195,6 +195,97 @@ def reference_growth(e, prefs, z, method, max_iter):
     if k == 0:
         return mu @ np.log(1.0 / z) - mu @ np.log(pi)
     return np.log(mu @ (1.0 / z) ** k) / k - np.log(mu @ pi**k) / k
+
+
+def oracle_cost_kernel(economy):
+    """The cost kernel before columns with equal exponents shared their
+    powers, kept as the oracle: one power per price and column, and the
+    round length that its n powers per price gave."""
+    aug = economy.augmented_coefficients()
+    g = economy.gamma
+    small = np.abs(g) < GAMMA_SWITCH
+    rest = ~small
+    aug_small, aug_rest = aug[:, small], np.ascontiguousarray(aug[:, rest])
+    g_rest = g[rest]
+    inv_rest = 1.0 / g_rest
+    mixed = small.any()
+
+    def costs(paug):
+        powers = paug[:, :, None] ** g_rest
+        c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
+        if not mixed:
+            return c
+        out = np.empty((paug.shape[0], g.size))
+        out[:, rest] = c
+        log_p = np.log(paug)[:, None, :]
+        out[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
+        return out
+
+    return costs, economy.n
+
+
+#: Exponents that numpy's power replaces by 1/x, sqrt(x) or x*x when the
+#: exponent has stride 0, Leontief's 1, and criterion 4's 0.9 and -0.5.
+SPECIAL_GAMMAS = [0.5, 2.0, -1.0, 1.0, 0.9, -0.5]
+
+
+@st.composite
+def repeated_gamma_economies(draw):
+    """Economies whose exponents repeat: uniform, drawn from a small pool,
+    mixed with log-limit columns, or all Cobb-Douglas."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["uniform", "pool", "mixed", "cobb-douglas"]))
+    if kind == "uniform":
+        gamma = np.full(n, draw(st.sampled_from(SPECIAL_GAMMAS)))
+    elif kind == "cobb-douglas":
+        gamma = rng.choice([0.0, 0.3 * GAMMA_SWITCH, -0.7 * GAMMA_SWITCH], n)
+    else:
+        values = np.concatenate([SPECIAL_GAMMAS, rng.uniform(-1.0, 1.5, 4)])
+        size = draw(st.integers(min_value=1, max_value=4))
+        gamma = rng.choice(rng.choice(values, size, replace=False), n)
+        if kind == "mixed":
+            tiny = rng.random(n) < 0.4
+            gamma[tiny] = rng.choice([0.0, 0.5 * GAMMA_SWITCH], tiny.sum())
+    return random_economy(seed, n, gamma=gamma)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_as_old_kernel(e, Z):
+    """The solve equals, bit for bit, the solve with the oracle kernel, and
+    the kernel counts the powers it takes as it should."""
+    g_rest = e.gamma[np.abs(e.gamma) >= GAMMA_SWITCH]
+    u = np.unique(g_rest).size
+    powered = u if 2 * u <= g_rest.size else g_rest.size
+    assert equilibrium._cost_kernel(e)[1] == powered + (g_rest.size < e.n)
+    got = solve_fixed_point_batch(e, Z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_cost_kernel", oracle_cost_kernel)
+        want = solve_fixed_point_batch(e, Z)
+    np.testing.assert_array_equal(bits(got.pi), bits(want.pi))
+    np.testing.assert_array_equal(bits(got.residual), bits(want.residual))
+    np.testing.assert_array_equal(got.iterations, want.iterations)
+    assert list(got.status) == list(want.status)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=repeated_gamma_economies(), rows=st.integers(min_value=1, max_value=200),
+       sigma=st.sampled_from([0.1, 0.5, 1.5]),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_shared_powers_equal_the_old_kernel(e, rows, sigma, seed):
+    Z = np.exp(sigma * np.random.default_rng(seed).standard_normal((rows, e.n)))
+    assert_same_as_old_kernel(e, Z)
+
+
+@pytest.mark.parametrize("gamma", SPECIAL_GAMMAS)
+def test_shared_powers_of_a_uniform_economy(gamma):
+    e = random_economy(7, 10, gamma=gamma)
+    Z = np.exp(0.5 * np.random.default_rng(7).standard_normal((200, 10)))
+    assert_same_as_old_kernel(e, Z)
 
 
 @pytest.mark.parametrize("round_sweeps", [1, 3, equilibrium.MAX_ROUND_SWEEPS])

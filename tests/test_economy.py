@@ -249,6 +249,17 @@ class TestCsvReader:
         assert economy._plain_lines(text) == ["a,1", "b,2"]
         assert read_csv_columns(path, "t", 2) == [["a", "b"], ["1", "2"]]
 
+    def test_decode_error_gives_the_byte_offset_in_the_file(self, tmp_path):
+        # The offset counts from the start of the file, not from the start
+        # of a chunk that a text reader was decoding.
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"v\n" + b"1.0\n" * 5000 + b"\xe9\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            read_csv_columns(path, "big")
+        assert info.value.start == 20002
+        assert "position 20002" in str(info.value)
+        assert str(path) in str(info.value)
+
     def test_nul_takes_the_csv_path(self, tmp_path):
         # Python 3.10's csv rejects a NUL and 3.11's reads it as a
         # character; either way the reader does what csv.reader does.

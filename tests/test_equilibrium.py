@@ -94,6 +94,33 @@ class TestFixedPoint:
         assert res.status in ("diverged", "max_iterations")
         assert not res.converged
 
+    def test_huge_shock_is_no_false_equilibrium(self):
+        # The prices fall far below 1 while the absolute step is already
+        # below tol; they once retired as "converged" at [2.47e-21, 2.50e-07]
+        # with a relative residual of 1.
+        res = solve_fixed_point(two_sector(np.array([-0.5, 0.5])), [1e6, 1e6])
+        assert res.status in ("diverged", "max_iterations")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=6),
+        tol=st.sampled_from([1e-10, 1e-6]),
+    )
+    def test_converged_rows_are_relative_equilibria(self, seed, n, tol):
+        # A converged row's last step is at most sqrt(tol) of its smallest
+        # price, and the map is nonexpansive in relative terms, so its
+        # relative residual is sqrt(tol) to first order.
+        e = random_economy(seed, n)
+        rng = np.random.default_rng(seed)
+        Z = np.exp(rng.uniform(np.log(1e-3), np.log(1e6), (20, n)))
+        batch = solve_fixed_point_batch(e, Z, tol=tol)
+        bound = np.sqrt(tol) * (1 + 2 * np.sqrt(tol))
+        for k in np.flatnonzero(batch.status == "converged"):
+            pi = batch.pi[k]
+            relative = np.abs(cost_map(e, pi, Z[k]) - pi) / pi
+            assert relative.max() <= bound
+
     def test_rejects_bad_inputs(self, econ4):
         with pytest.raises(ValueError):
             solve_fixed_point(econ4, np.ones(4), tol=-1.0)
