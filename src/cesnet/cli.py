@@ -368,15 +368,16 @@ def _cmd_hp(args) -> int:
 
 
 def _cmd_gbm(args) -> int:
-    names, columns = econ.read_csv_table(args.input, "level table")
+    names, columns = econ.read_csv_table(args.input, "level table", (float,))
     rows = []
-    for name, cells in zip(names, columns):
+    for j, (name, cells) in enumerate(zip(names, columns)):
         series = econ.parse_column(cells, float, "level", "level table", 2)
         bad = ~(np.isfinite(series) & (series > 0))
         if bad.any():
             i = int(bad.argmax())
+            cell = econ.read_csv_columns(args.input, "level table")[j][i + 1]
             raise NonPositiveValue(
-                f"non-positive or non-finite level {cells[i]!r} in level "
+                f"non-positive or non-finite level {cell!r} in level "
                 f"table column {name!r} row {i + 2}")
         moments = gbm_mod.estimate_gbm_moments(series)
         dlm = gbm_mod.estimate_gbm_dlm(series)
@@ -430,7 +431,7 @@ def _estimate_payload(estimate):
 
 
 def _load_panel(path):
-    header, columns = econ.read_csv_table(path, "panel")
+    header, columns = econ.read_csv_table(path, "panel", (object, int, float))
     if header[:4] != ["entity", "period", "share", "price"]:
         raise MalformedTable(
             "panel header must start with entity,period,share,price"

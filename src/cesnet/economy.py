@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,111 +239,130 @@ def read_csv_columns(path, name, width=None) -> list[list[str]]:
     """The columns of the non-blank rows of the UTF-8 CSV file ``name`` at
     ``path``: column j lists the rows' cells j.
 
-    Every input file is read here.  A row whose cells are all blank is
-    dropped; the others are numbered from 1, a header being row 1.  Given
-    ``width`` (a field count, or ``"first"`` for the first row's), a row of
-    another width raises ``MalformedTable("<name> row <i> has <k> fields")``;
+    This is the reference reader: ``csv.reader`` parses the file's text,
+    read and decoded once.  A row whose cells are all blank is dropped; the
+    others are numbered from 1, a header being row 1.  Given ``width`` (a
+    field count, or ``"first"`` for the first row's), a row of another
+    width raises ``MalformedTable("<name> row <i> has <k> fields")``;
     without it, rows may differ in width, and only the columns that every
     row has are returned.  A byte that is not UTF-8 raises
     UnicodeDecodeError naming the path and the byte's offset in the file.
-
-    The file's bytes are read and decoded once.  Text that
-    :func:`_plain_lines` accepts is split on its line ends and commas with
-    ``str`` methods, into one flat list of cells that each column slices;
-    any other text is parsed by ``csv.reader``.  Both give the same cells.
     """
+    return _csv_columns(_read_text(path), path, name, width)
+
+
+def _read_text(path) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         exc.reason += f" in {path}"
         raise
-    del data
-    lines = _plain_lines(text)
-    if lines is None:
-        rows = _csv_rows(path, text)
-        widths = list(map(len, rows))
-    else:
-        widths = [line.count(",") + 1 for line in lines]
-    del text
+
+
+def _csv_columns(text, path, name, width) -> list[list[str]]:
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows = [row for row in reader if "".join(row).strip()]
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise MalformedTable(f"{path}: {exc}") from exc
     if width == "first":
-        width = widths[0] if widths else 0
-    distinct = set(widths)
-    if width is not None and distinct - {width}:
-        i = next(i for i, k in enumerate(widths, 1) if k != width)
-        raise MalformedTable(f"{name} row {i} has {widths[i - 1]} fields")
-    if lines is None or len(distinct) != 1:
-        if lines is not None:
-            rows = [line.split(",") for line in lines]
-        return [list(col) for col in zip(*rows)]
-    # Hold the lines, their joined text and the cells two at a time.
-    joined = ",".join(lines)
-    del lines
-    cells = joined.split(",")
-    del joined
-    return [cells[j::widths[0]] for j in range(widths[0])]
+        width = len(rows[0]) if rows else 0
+    if width is not None and set(map(len, rows)) - {width}:
+        i, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != width)
+        raise MalformedTable(f"{name} row {i} has {len(row)} fields")
+    return [list(col) for col in zip(*rows)]
 
 
-#: A line end, a line of blank cells, and a line end.
-_BLANK_LINE = re.compile(r"\n[\s,]*\n").search
-
-
-def _plain_lines(text):
-    """The non-blank lines of ``text``, if ``csv.reader`` would split each
-    of them on its commas alone; else None.
-
-    That holds when the text has no ``"`` (no quoting), no NUL (which
-    Python 3.10's ``csv`` rejects), line ends all LF or all CRLF (a bare CR
-    also ends a row for ``csv.reader``), and no line longer than
-    ``csv.field_size_limit()``.
+def read_typed_columns(path, name, types, width=None, header=None):
+    """``(head, columns)``: the cells of row 1 of a CSV file if it is a
+    header (if ``header`` is None or its cell ``header`` is not a number),
+    else None, and the columns of the other rows, as :func:`read_csv_columns`
+    reads them.  Column j is an array of ``types[j]`` (``object``, ``int``
+    or ``float``; the last type holds for later columns) where one
+    ``np.loadtxt`` call reads the text (see :func:`_loadtxt`), else the list
+    of its cells for :func:`parse_column`: the same values, bit for bit.
     """
-    if '"' in text or "\0" in text:
+    text = _read_text(path)
+    typed = _loadtxt(text, types, width, header)
+    if typed is not None:
+        return typed
+    columns = _csv_columns(text, path, name, width)
+    if columns and (header is None or not _is_number(columns[header][0])):
+        return [col[0] for col in columns], [col[1:] for col in columns]
+    return None, columns
+
+
+def _loadtxt_lines(text):
+    """The lines of ``text`` if it is plain: ASCII with no ``"``, NUL or
+    0x1c to 0x1f, line ends all LF or all CRLF, and no line longer than
+    ``csv.field_size_limit()``; else None.  ``csv.reader`` splits each line
+    of plain text on its commas alone, and numpy parses its numbers as
+    ``float()`` and ``int()`` do.  numpy's int parser misreads (and may
+    crash on) non-ASCII text, and numpy skips 0x1c to 0x1f around numbers.
+    """
+    if not text.isascii() or any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
         return None
     sep = "\r\n" if "\r" in text else "\n"
     lines = text.split(sep)
     if sep == "\r\n" and not len(lines) - 1 == text.count("\r") == text.count("\n"):
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    return lines if max(map(len, lines)) <= csv.field_size_limit() else None
+
+
+def _loadtxt(text, types, width, header):
+    """What :func:`read_typed_columns` returns for ``text``, from one
+    ``np.loadtxt`` call; None if the text is not plain or the call might
+    not give it.  A table with no number column is refused, since only a
+    number cell fails on a row of blank cells, which ``csv.reader`` drops.
+    """
+    lines = _loadtxt_lines(text)
+    if lines is None:
         return None
-    if not lines[-1]:
-        lines.pop()  # the empty line after the text's last line end
-    if lines and (_BLANK_LINE(text) or not _has_cell(lines[0])
-                  or not _has_cell(lines[-1])):
-        lines = list(filter(_has_cell, lines))
-    return lines
-
-
-def _has_cell(line) -> bool:
-    """Whether a line of text that splits on its commas alone has a cell
-    that is not blank."""
-    return bool(line.replace(",", "").strip())
-
-
-def _csv_rows(path, text) -> list[list[str]]:
-    """The non-blank rows of ``text``, the file at ``path``, as
-    ``csv.reader`` parses them."""
+    head = lines[0].split(",")
+    kinds = [*types, *types[-1:] * len(head)][:len(head)]
+    if (not "".join(head).strip() or set(kinds) == {object}
+            or width not in (None, "first", len(head))):
+        return None
+    if header is not None and _is_number(head[header]):
+        head = None
+    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
     try:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        return [row for row in reader if "".join(row).strip()]
-    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
-        raise MalformedTable(f"{path}: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                               skiprows=int(head is not None), ndmin=1)
+    except Exception:  # the csv.reader path gives the result or the error
+        return None
+    return head, [np.ascontiguousarray(table[f]) for f in dtype.names]
 
 
-def read_csv_table(path, name) -> tuple[list[str], list[list[str]]]:
+def _is_number(cell) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def read_csv_table(path, name, types) -> tuple[list[str], list]:
     """The header (the first non-blank row) of a CSV file whose rows are all
-    as wide, and its columns: each the list of its cells from row 2 on."""
-    columns = read_csv_columns(path, name, width="first")
-    if not columns or len(columns[0]) < 2:
+    as wide, and its columns from row 2 on, as :func:`read_typed_columns`
+    gives them for ``types``."""
+    head, columns = read_typed_columns(path, name, types, width="first")
+    if not columns or not len(columns[0]):
         raise MalformedTable(f"{name} needs a header row and data rows")
-    return [col[0].strip() for col in columns], [col[1:] for col in columns]
+    return [cell.strip() for cell in head], columns
 
 
 def parse_column(cells, convert, what, name, first_row) -> np.ndarray:
     """The cells of a column from row ``first_row`` of file ``name`` on,
     converted by ``convert`` (``float`` or ``int``) into an array.  The first
     cell it rejects raises ``MalformedTable("non-numeric <what> '<cell>' in
-    <name> row <i>")``."""
+    <name> row <i>")``.  A column that is an array comes back as it is."""
+    if isinstance(cells, np.ndarray):
+        return cells
     try:
         return np.asarray(list(map(convert, cells)))
     except ValueError:
@@ -357,7 +377,7 @@ def parse_column(cells, convert, what, name, first_row) -> np.ndarray:
 
 
 def _parse_io_table(path):
-    header, columns = read_csv_table(path, "IO table")
+    header, columns = read_csv_table(path, "IO table", (object, float))
     labels, n = header[1:], len(header) - 1
     if n == 0:
         raise MalformedTable("IO table header declares no sectors")
@@ -404,10 +424,11 @@ def load_labelled_vector(path, labels, what) -> np.ndarray:
 def load_column(path) -> np.ndarray:
     """The first cell of each row of a series CSV file, as finite floats;
     later cells are ignored."""
-    first, cells, values = _value_column(path, "series", 0)
+    first, _, values = _value_column(path, "series", 0)
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
-        raise MalformedTable(f"non-finite value {cells[i]!r} in series row {first + i}")
+        cell = read_csv_columns(path, "series")[0][first - 1 + i]
+        raise MalformedTable(f"non-finite value {cell!r} in series row {first + i}")
     return values
 
 
@@ -416,13 +437,8 @@ def _value_column(path, name, col, width=None):
     on, its cells 0 and its cells ``col`` as floats.  A first row whose cell
     ``col`` is not a number is a header, such as ``sector,sigma``.
     """
-    columns = read_csv_columns(path, name, width)
+    types = (object, float) if col else (float,)
+    head, columns = read_typed_columns(path, name, types, width, header=col)
     keys, cells = (columns[0], columns[col]) if columns else ([], [])
-    first = 1
-    if cells:
-        try:
-            float(cells[0])
-        except ValueError:
-            first = 2
-    return first, keys[first - 1:], parse_column(
-        cells[first - 1:], float, "value", name, first)
+    first = 1 if head is None else 2
+    return first, keys, parse_column(cells, float, "value", name, first)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cesnet.cli import load_config, main
-from cesnet.economy import write_csv
+from cesnet.economy import _loadtxt_lines, write_csv
 from cesnet.household import METHODS, HouseholdPrefs, real_gdp_growth
 from cesnet.montecarlo import hp_filter, qq_points
 
@@ -1019,6 +1019,56 @@ class TestLoaderMessages:
         assert self.error(tmp_path, capsys, key, ",".join(cells)) == (
             f"{name} row 3 has {len(cells)} fields")
 
+
+
+class TestPlainInputErrors:
+    """Malformed plain text, the kind the loadtxt path reads, exits 1 with
+    the message the csv.reader path gives: the line is compared byte for
+    byte."""
+
+    PANEL = [["entity", "period", "share", "price", "inst_w", "inst_v"]] + [
+        [f"e{i // 3}", str(i % 3 + 1), repr(0.3 + 0.01 * i), repr(1.0 + 0.02 * i),
+         repr(0.1 * i - 0.5), repr(0.7 - 0.05 * i)] for i in range(12)]
+
+    def run(self, tmp_path, capsys, argv, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert _loadtxt_lines(text) is not None
+        capsys.readouterr()
+        assert main([argv[0], argv[1], str(path), *argv[2:]]) == 1
+        return capsys.readouterr().err
+
+    def panel_error(self, tmp_path, capsys, row, column, cell):
+        rows = [list(r) for r in self.PANEL]
+        if column is None:
+            rows[row - 1].append(cell)
+        else:
+            rows[row - 1][column] = cell
+        text = "".join(",".join(r) + "\r\n" for r in rows)
+        return self.run(tmp_path, capsys, ["estimate", "--panel"], "panel.csv", text)
+
+    @pytest.mark.parametrize("row, column, cell, message", [
+        (7, 2, "abc", "non-numeric share 'abc' in panel row 7"),
+        (5, None, "0.5", "panel row 5 has 7 fields"),
+        (4, 1, "1.5", "non-numeric period '1.5' in panel row 4"),
+    ])
+    def test_panel(self, tmp_path, capsys, row, column, cell, message):
+        err = self.panel_error(tmp_path, capsys, row, column, cell)
+        assert err == ('{"error": "MalformedTable", "message": "%s"}\n' % message)
+
+    def test_non_positive_gbm_level(self, tmp_path, capsys):
+        text = "a,b\r\n1.0,2.0\r\n1.1,-1.9\r\n1.3,2.2\r\n1.2,2.1\r\n"
+        err = self.run(tmp_path, capsys, ["gbm", "--input", "--outdir",
+                                          str(tmp_path / "out")], "levels.csv", text)
+        assert err == ('{"error": "NonPositiveValue", "message": "non-positive or '
+                       "non-finite level '-1.9' in level table column 'b' row 3\"}\n")
+
+    def test_non_finite_qq_value(self, tmp_path, capsys):
+        text = "x\n1.0\n2.5\n nan\n4.0\n"
+        err = self.run(tmp_path, capsys, ["qq", "--input", "--outdir",
+                                          str(tmp_path / "out")], "series.csv", text)
+        assert err == ('{"error": "MalformedTable", "message": '
+                       "\"non-finite value ' nan' in series row 4\"}\n")
 
 # Finite floats, with the corner cases of shortest round-trip formatting.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

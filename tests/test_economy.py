@@ -11,7 +11,9 @@ from cesnet.economy import (
     benchmark_shares,
     cost_shares,
     load_economy,
+    parse_column,
     read_csv_columns,
+    read_typed_columns,
     save_economy,
 )
 from cesnet.errors import ColumnSumViolation, MalformedTable, NegativeCoefficient
@@ -208,9 +210,10 @@ READER_TEXTS = st.one_of(
 
 
 def splits_plainly(text, limit):
-    """The rule for the split path: no quote, no NUL, line ends all LF or
-    all CRLF, and no line longer than the field size limit."""
-    if '"' in text or "\0" in text:
+    """The plain-text rule of the loadtxt path: ASCII, no quote, no NUL, no
+    0x1c to 0x1f, line ends all LF or all CRLF, and no line longer than the
+    field size limit."""
+    if not text.isascii() or any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
         return False
     if "\r" in text and not (text.count("\r") == text.count("\r\n")
                              == text.count("\n")):
@@ -236,18 +239,21 @@ class TestCsvReader:
                 csv.field_size_limit(limit)
             want = outcome(lambda: zip(*oracle_read_csv_rows(path, "t", width)))
             got = outcome(lambda: read_csv_columns(path, "t", width))
-            plain = economy._plain_lines(text) is not None
+            plain = economy._loadtxt_lines(text) is not None
             assert plain == splits_plainly(text, csv.field_size_limit())
         finally:
             csv.field_size_limit(old_limit)
         assert got == want
 
     @pytest.mark.parametrize("text", ["a,1\nb,2\n", "a,1\r\nb,2\r\n"])
-    def test_plain_text_takes_the_split_path(self, tmp_path, text):
+    def test_plain_text_takes_the_loadtxt_path(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
-        assert economy._plain_lines(text) == ["a,1", "b,2"]
+        assert economy._loadtxt_lines(text) == ["a,1", "b,2", ""]
         assert read_csv_columns(path, "t", 2) == [["a", "b"], ["1", "2"]]
+        head, (keys, values) = read_typed_columns(path, "t", (object, float), 2, 1)
+        assert head is None and keys.tolist() == ["a", "b"]
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 2.0]
 
     def test_decode_error_gives_the_byte_offset_in_the_file(self, tmp_path):
         # The offset counts from the start of the file, not from the start
@@ -265,9 +271,175 @@ class TestCsvReader:
         # character; either way the reader does what csv.reader does.
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,\x00\nb,2\n")
-        assert economy._plain_lines(path.read_text()) is None
+        assert economy._loadtxt_lines(path.read_text()) is None
         want = outcome(lambda: zip(*oracle_read_csv_rows(path, "t", 2)))
         assert outcome(lambda: read_csv_columns(path, "t", 2)) == want
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def oracle_typed_columns(path, name, width, header):
+    """``(head, columns)`` from the csv.reader oracle, each number column
+    converted by ``parse_column`` as ``float()`` or ``int()`` reads it."""
+    columns = [list(col) for col in zip(*oracle_read_csv_rows(path, name, width))]
+    head = None
+    if columns and (header is None or not _is_number(columns[header][0])):
+        head, columns = [col[0] for col in columns], [col[1:] for col in columns]
+    return head, columns
+
+
+def typed_outcome(read, types):
+    """What a typed read returns, its number columns through
+    ``parse_column`` and each as its dtype and its bytes, or the class and
+    message of what it raises."""
+    try:
+        head, columns = read()
+        first = 1 if head is None else 2
+        kinds = [*types, *types[-1:] * len(columns)]
+        out = []
+        for col, kind in zip(columns, kinds):
+            if kind is object:
+                out.append(list(col))
+                continue
+            col = parse_column(col, kind, "v", "t", first)
+            # An int beyond int64 gives a column of Python ints.
+            out.append((col.dtype.str, col.shape, col.tolist()
+                        if col.dtype == object else col.tobytes()))
+        return head, out
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+DIGITS = st.text(st.sampled_from("0123456789"), min_size=1, max_size=25)
+#: Number cells that float() reads: float reprs, long decimals with
+#: exponents past the float range, and the spellings of nan and inf.
+FLOAT_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.builds(lambda sign, a, b, e: f"{sign}{a}.{b}{e}",
+              st.sampled_from(["", "+", "-"]), DIGITS, DIGITS,
+              st.sampled_from(["", "e5", "E-330", "e+400", "e-3"])),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-Infinity", "1e5", ".5",
+                     "5.", "+1", "-0", "007", "5e-324",
+                     "2.4703282292062328e-324", "1.7976931348623159e308"]),
+)
+INT_CELLS = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(str),
+    st.sampled_from(["+1", "-0", "007", "9223372036854775807"]),
+)
+#: Cells that float() or int() may read and numpy's parsers may not, or
+#: that neither reads.
+ODD_CELLS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["1_0", "1__0", "\u0663", "\uff11", "\u0661.\u0665",
+                     "9223372036854775808", "-9223372036854775809", "1.0",
+                     "infinit", "0x10", "1.5j", "", "x"]),
+)
+#: Blanks around a cell; all but the first four are rare in text.
+BLANKS = ["", " ", "\t", "\x0c", "\x0b", "\x1c", "\x1f", "\xa0", "\u2028",
+          "\u3000"]
+LABELS = ["a", "b", "1", " ", "\t", "\u00e9", "\U0001f600", "\u2028"]
+
+
+@st.composite
+def typed_tables(draw):
+    """A CSV text and the reading of it: types, width and header rule.
+
+    Each kind of trouble (odd cells, odd blanks, non-ASCII labels, blank,
+    short and long rows, quotes, bare CR and mixed line ends) is drawn
+    rarely, so about half the texts are plain tables that loadtxt reads.
+    """
+    def rarely():
+        return draw(st.integers(0, 39)) == 0
+
+    def blank():
+        return draw(st.sampled_from(BLANKS[:4] if not rarely() else BLANKS))
+
+    def label():
+        chars = LABELS if rarely() else LABELS[:5]
+        return draw(st.text(st.sampled_from(chars), max_size=4))
+
+    def cell(kind):
+        if kind is object:
+            return label()
+        text = draw(ODD_CELLS if rarely() else
+                    INT_CELLS if kind is int else FLOAT_CELLS)
+        return blank() + text + blank()
+
+    types, width, header = draw(st.sampled_from([
+        ((object, int, float), "first", None), ((object, float), "first", None),
+        ((float,), "first", None), ((object, float), 2, 1), ((float,), None, 0),
+        ((int,), None, None)]))
+    ncols = 2 if width == 2 else draw(st.integers(1 + (object in types), 4))
+    kinds = [*types, *types[-1:] * ncols][:ncols]
+    rows = [[label() or "h" for _ in kinds]] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6)) if rarely() else draw(st.integers(1, 6))):
+        row = [cell(kind) for kind in kinds]
+        if rarely():
+            row = [blank() for _ in kinds]
+        elif rarely():
+            row = row[:-1]
+        elif rarely():
+            row.append(cell(float))
+        rows.append(row)
+    lines = [",".join(row) for row in rows]
+    if lines and rarely():
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(['"', '""', '"1"'])) + lines[i]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if rarely():
+        end = "\r"
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    if rarely():
+        text = text.replace(end, "\n", 1)
+    return text, types, width, header
+
+
+class TestTypedReader:
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=typed_tables())
+    @example(table=("x\n1\n1_0\n", (float,), None, 0))
+    @example(table=("p\n3_0\n", (int,), None, None))
+    @example(table=("a,b\n1,2\n,\n3,4\n", (float,), "first", None))
+    @example(table=("v\r\n9223372036854775808\r\n", (int,), None, None))
+    def test_typed_columns_equal_csv_reader(self, tmp_path, table):
+        text, types, width, header = table
+        path = tmp_path / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        want = typed_outcome(
+            lambda: oracle_typed_columns(path, "t", width, header), types)
+        got = typed_outcome(
+            lambda: read_typed_columns(path, "t", types, width, header), types)
+        assert got == want
+
+    def test_perfbench_shaped_crlf_panel_takes_the_fast_path(self, tmp_path,
+                                                             monkeypatch):
+        # csv.writer's CRLF rows with repr floats, as the benchmark writes
+        # its panel; the csv.reader path is switched off to show it unused.
+        rng = np.random.default_rng(18)
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["entity", "period", "share", "price", "inst_w", "inst_v"])
+            for i in range(200):
+                writer.writerow([f"e{i // 10}", i % 10 + 1,
+                                 *rng.lognormal(size=2).tolist(),
+                                 *rng.normal(size=2).tolist()])
+        types = (object, int, float)
+        want = typed_outcome(
+            lambda: oracle_typed_columns(path, "panel", "first", None), types)
+        monkeypatch.setattr(economy, "_csv_columns", None)
+        head, columns = read_typed_columns(path, "panel", types, "first")
+        assert [col.dtype for col in columns] == [object, np.int64] + [np.float64] * 4
+        assert all(col.flags.c_contiguous for col in columns)
+        assert typed_outcome(lambda: (head, columns), types) == want
 
 
 class TestEconomyType:
