@@ -120,6 +120,12 @@ def _cost_kernel(economy: Economy):
     broadcast with stride 0, and for a stride-0 exponent of -1, 0.5 or 2
     numpy's float64 power takes 1/x, sqrt(x) or x*x, whose last bits can
     differ from pow's.
+
+    When the power-form columns share one exponent (a uniform economy, or a
+    single power-form column), the einsum reads that one column of powers
+    instead of a gathered copy per column: the same products, added in the
+    same order.  The sum takes einsum's own loops, never BLAS,
+    whose blocking would change the bits with the build and thread count.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -135,12 +141,16 @@ def _cost_kernel(economy: Economy):
         exps = np.repeat(exps[None, :], aug.shape[0], axis=0)
     else:
         exps, col = g_rest, None
+    single = exps.shape[-1] == 1
 
     def costs(paug):
         powers = np.power(paug[:, :, None], exps)
-        if col is not None:  # col is in range; "clip" skips the check
-            powers = np.take(powers, col, axis=2, mode="clip")
-        c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
+        if single:
+            c = np.einsum("ij,ki->kj", aug_rest, powers[:, :, 0]) ** inv_rest
+        else:
+            if col is not None:  # col is in range; "clip" skips the check
+                powers = np.take(powers, col, axis=2, mode="clip")
+            c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
         if not mixed:
             return c
         out = np.empty((paug.shape[0], g.size))

@@ -87,7 +87,10 @@ def reference_fixed_point(e, z, tol=1e-10, max_iter=10_000):
         c = np.empty(e.n)
         c[small] = np.exp(np.log(paug) @ aug[:, small])
         gr = g[~small]
-        powers = paug[:, None] ** gr
+        # Prices falling toward 0 overflow a negative power to inf, which
+        # the check below reports as divergence.
+        with np.errstate(over="ignore"):
+            powers = paug[:, None] ** gr
         c[~small] = np.einsum("ij,ij->j", aug[:, ~small], powers) ** (1 / gr)
         pi = c / z
         if not np.all(np.isfinite(pi) & (pi > 0) & (pi <= OVERFLOW_GUARD)):
@@ -103,7 +106,21 @@ def reference_fixed_point(e, z, tol=1e-10, max_iter=10_000):
 @given(data=st.data(), max_iter=st.sampled_from([1, 5, 30, 10_000]))
 def test_fixed_point_rows_equal_single_solves(data, max_iter):
     e = data.draw(economies())
-    Z = data.draw(shock_matrices(e.n))
+    assert_rows_equal_single_solves(e, data.draw(shock_matrices(e.n)), max_iter)
+
+
+def test_fixed_point_rows_equal_single_solves_past_a_power_overflow():
+    # At gamma -1 the first row's prices fall geometrically until a price's
+    # power overflows; the row diverges there, without a warning.
+    e = random_economy(3, 2, gamma=-1.0)
+    Z = np.array([[10.0, 10.0], [1.2, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rows_equal_single_solves(e, Z, 10_000)
+    assert list(solve_fixed_point_batch(e, Z).status) == [DIVERGED, CONVERGED]
+
+
+def assert_rows_equal_single_solves(e, Z, max_iter):
     batch = solve_fixed_point_batch(e, Z, max_iter=max_iter)
     for k, z in enumerate(Z):
         one = solve_fixed_point(e, z, max_iter=max_iter)
@@ -255,17 +272,17 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-def assert_same_as_old_kernel(e, Z):
+def assert_same_as_old_kernel(e, Z, max_iter=10_000):
     """The solve equals, bit for bit, the solve with the oracle kernel, and
     the kernel counts the powers it takes as it should."""
     g_rest = e.gamma[np.abs(e.gamma) >= GAMMA_SWITCH]
     u = np.unique(g_rest).size
     powered = u if 2 * u <= g_rest.size else g_rest.size
     assert equilibrium._cost_kernel(e)[1] == powered + (g_rest.size < e.n)
-    got = solve_fixed_point_batch(e, Z)
+    got = solve_fixed_point_batch(e, Z, max_iter=max_iter)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equilibrium, "_cost_kernel", oracle_cost_kernel)
-        want = solve_fixed_point_batch(e, Z)
+        want = solve_fixed_point_batch(e, Z, max_iter=max_iter)
     np.testing.assert_array_equal(bits(got.pi), bits(want.pi))
     np.testing.assert_array_equal(bits(got.residual), bits(want.residual))
     np.testing.assert_array_equal(got.iterations, want.iterations)
@@ -283,7 +300,21 @@ def test_shared_powers_equal_the_old_kernel(e, rows, sigma, seed):
 
 @pytest.mark.parametrize("gamma", SPECIAL_GAMMAS)
 def test_shared_powers_of_a_uniform_economy(gamma):
-    e = random_economy(7, 10, gamma=gamma)
+    # At n = 100 the oracle takes n powers of each price; fewer rows and
+    # sweeps keep it affordable, and at gamma 2 they still end in all three
+    # statuses.
+    for n, rows, max_iter in ((10, 200, 10_000), (100, 50, 1000)):
+        e = random_economy(7, n, gamma=gamma)
+        Z = np.exp(0.5 * np.random.default_rng(7).standard_normal((rows, n)))
+        assert_same_as_old_kernel(e, Z, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("gamma", SPECIAL_GAMMAS)
+def test_shared_powers_of_one_power_form_column(gamma):
+    # One column takes the power form and the others the log-limit.
+    g = np.zeros(10)
+    g[3] = gamma
+    e = random_economy(7, 10, gamma=g)
     Z = np.exp(0.5 * np.random.default_rng(7).standard_normal((200, 10)))
     assert_same_as_old_kernel(e, Z)
 
