@@ -38,9 +38,10 @@ OVERFLOW_GUARD = 1e12
 #: evaluates, m * rows * (n + 1) * u, within ROUND_FLOATS, and at most
 #: MAX_ROUND_SWEEPS; that also bounds the sweeps wasted past a row's
 #: retirement.  u counts the powers that the cost kernel takes of each price
-#: (one per distinct exponent when it shares them, else one per power-form
-#: column), plus one for the log when some column takes the log-limit.  A
-#: row's iterates, and so its result, do not depend on the round length.
+#: (one when all power-form columns share one exponent, else one per
+#: power-form column), plus one for the log when some column takes the
+#: log-limit.  A row's iterates, and so its result, do not depend on the
+#: round length.
 ROUND_FLOATS = 2**14
 MAX_ROUND_SWEEPS = 16
 
@@ -110,22 +111,21 @@ def _cost_kernel(economy: Economy):
     the same operations whatever K is, so a row's costs do not depend on the
     rows batched with it.
 
-    Columns with the same exponent share its powers: when the power-form
-    columns have at most half as many distinct exponents as columns, each
-    price is raised to each distinct exponent once, and the columns are
-    gathered from those powers into the same C-contiguous (K, n + 1, columns)
-    array that the einsum reads otherwise, so every output bit is the same.
-    The exponent operand of that power must stay strided, hence one row of
-    exponents per price: a vector holding one distinct exponent would be
-    broadcast with stride 0, and for a stride-0 exponent of -1, 0.5 or 2
-    numpy's float64 power takes 1/x, sqrt(x) or x*x, whose last bits can
-    differ from pow's.
-
-    When the power-form columns share one exponent (a uniform economy, or a
-    single power-form column), the einsum reads that one column of powers
-    instead of a gathered copy per column: the same products, added in the
-    same order.  The sum takes einsum's own loops, never BLAS,
-    whose blocking would change the bits with the build and thread count.
+    Two sums, adding the same products in the same order, so with the same
+    bits.  When all power-form columns share one exponent (a uniform
+    economy, with or without log-limit columns, or a single power-form
+    column), each price is raised to it once and a two-operand einsum reads
+    those powers for every column; otherwise a three-operand einsum reads
+    one power per price and column.  The exponent's layout copies the
+    per-column one, as numpy's float64 power takes 1/x, sqrt(x) or x*x for a
+    stride-0 exponent of -1, 0.5 or 2, whose last bits can differ from
+    pow's: an exponent shared by two or more columns is a strided
+    (n + 1, 1) array, while a single column, like distinct exponents, keeps
+    the 1-D exponents that the per-column power broadcasts with stride 0.
+    Columns are never gathered from the powers of a few distinct exponents:
+    no workload has them, and per-exponent sums beat that copy where
+    measured.  The sums take einsum's own loops, never BLAS, whose blocking
+    would change the bits with the build and thread count.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -136,11 +136,9 @@ def _cost_kernel(economy: Economy):
     g_rest = g[rest]
     inv_rest = 1.0 / g_rest
     mixed = small.any()
-    exps, col = np.unique(g_rest, return_inverse=True)
-    if 2 * exps.size <= g_rest.size:
-        exps = np.repeat(exps[None, :], aug.shape[0], axis=0)
-    else:
-        exps, col = g_rest, None
+    exps = g_rest
+    if g_rest.size > 1 and np.all(g_rest == g_rest[0]):
+        exps = np.full((aug.shape[0], 1), g_rest[0])
     single = exps.shape[-1] == 1
 
     def costs(paug):
@@ -148,8 +146,6 @@ def _cost_kernel(economy: Economy):
         if single:
             c = np.einsum("ij,ki->kj", aug_rest, powers[:, :, 0]) ** inv_rest
         else:
-            if col is not None:  # col is in range; "clip" skips the check
-                powers = np.take(powers, col, axis=2, mode="clip")
             c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
         if not mixed:
             return c
@@ -185,7 +181,10 @@ def solve_fixed_point(
 
     Returns an EquilibriumResult; status "diverged" signals that no positive
     equilibrium exists (an iterate left the positive orthant or exceeded the
-    overflow guard).  A sweep converges when its max-norm step is at most
+    overflow guard).  Without a positive equilibrium, prices that fall
+    slowly toward 0 may not underflow within ``max_iter`` sweeps: such a
+    draw ends "max_iterations", not "diverged", and is still counted
+    unviable.  A sweep converges when its max-norm step is at most
     ``tol`` and at most ``sqrt(tol)`` times the smallest price, so that
     prices far below 1 must also settle relative to their size.
     """
@@ -271,12 +270,6 @@ def solve_uniform_ces(economy: Economy, z, gamma: float) -> np.ndarray:
     positive orthant and SingularSystem if ``diag(z)^gamma - A`` is not
     invertible.
     """
-    return _uniform_ces_row(economy, z, gamma)
-
-
-def _uniform_ces_row(economy, z, gamma):
-    """The uniform-CES prices of one shock, or its status's error.  Both
-    public closed forms call this, so that neither runs inside the other."""
     z = check_shock(z, economy.n)
     pi, status = solve_uniform_ces_batch(economy, z[None, :], gamma)
     if status[0] == SINGULAR:
@@ -314,7 +307,7 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float):
 def solve_leontief(economy: Economy, z) -> np.ndarray:
     """Closed-form Leontief prices, ``pi (diag(z) - A) = a0``: the gamma = 1
     case of :func:`solve_uniform_ces`, raising what it raises."""
-    return _uniform_ces_row(economy, z, 1.0)
+    return solve_uniform_ces(economy, z, 1.0)
 
 
 def _solve_rows(M, rhs):
