@@ -180,13 +180,14 @@ def solve_fixed_point(
     """Iterate the price recursion from the benchmark until convergence.
 
     Returns an EquilibriumResult; status "diverged" signals that no positive
-    equilibrium exists (an iterate left the positive orthant or exceeded the
-    overflow guard).  Without a positive equilibrium, prices that fall
-    slowly toward 0 may not underflow within ``max_iter`` sweeps: such a
-    draw ends "max_iterations", not "diverged", and is still counted
-    unviable.  A sweep converges when its max-norm step is at most
-    ``tol`` and at most ``sqrt(tol)`` times the smallest price, so that
-    prices far below 1 must also settle relative to their size.
+    equilibrium exists (a price fell below the smallest normal float,
+    ``np.finfo(float).tiny``, or passed the overflow guard).  Without a
+    positive equilibrium, prices that fall slowly toward 0 may not get below
+    it within ``max_iter`` sweeps: such a draw ends "max_iterations", not
+    "diverged", and is still counted unviable.  A sweep converges when its
+    max-norm step is at most ``tol`` and at most ``sqrt(tol)`` times the
+    smallest price, so that prices far below 1 must also settle relative to
+    their size.
     """
     z = check_shock(z, economy.n)
     return solve_fixed_point_batch(
@@ -213,7 +214,7 @@ def solve_fixed_point_batch(
     Z = check_shock_matrix(Z, economy.n)
     K, n = Z.shape
     costs, u = _cost_kernel(economy)
-    rel_tol = np.sqrt(tol)
+    rel_tol, tiny = np.sqrt(tol), np.finfo(float).tiny
     paug = np.ones((K, n + 1))
     pi = np.empty((K, n))
     iterations = np.full(K, max_iter)
@@ -239,14 +240,15 @@ def solve_fixed_point_batch(
             step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)
         paug, res = seq[m], step[-1]
         it += m
-        lo, hi = seq[1:].min(), seq[1:].max()
-        if lo > 0 and hi <= OVERFLOW_GUARD and step.min() > tol:
-            continue  # no row is done: no NaN, no overflow, no convergence
         new = seq[1:, :, 1:]
         low = new.min(axis=2)
-        diverged = ~((low > 0) & (new.max(axis=2) <= OVERFLOW_GUARD))
+        # A subnormal price has lost its relative precision: c(pi)/z can
+        # round back to it, a step of exactly 0.
+        diverged = ~((low >= tiny) & (new.max(axis=2) <= OVERFLOW_GUARD))
         done = diverged | ((step <= tol) & (step <= rel_tol * low))
         hit = done.any(axis=0)
+        if not hit.any():
+            continue
         # The first sweep of the round at which each such row is done.
         at, r = done.argmax(axis=0)[hit], np.flatnonzero(hit)
         finished = rows[r]

@@ -125,7 +125,6 @@ def real_gdp_growth(
     prefs: HouseholdPrefs,
     z,
     method: str = GENERAL_CES,
-    tol: float = 1e-10,
     max_iter: int = 10000,
 ):
     """Log real GDP growth under shock z, or an Unviable marker.
@@ -138,8 +137,7 @@ def real_gdp_growth(
     """
     z = check_shock(z, economy.n)
     ln_h, status = real_gdp_growth_batch(
-        economy, prefs, z[None, :], method, tol=tol, max_iter=max_iter
-    )
+        economy, prefs, z[None, :], method, max_iter=max_iter)
     ok = status[0] == CONVERGED
     return float(ln_h[0]) if ok else Unviable(method=method, z=z, status=status[0])
 
@@ -149,7 +147,6 @@ def real_gdp_growth_batch(
     prefs: HouseholdPrefs,
     Z,
     method: str = GENERAL_CES,
-    tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log real GDP growth for every row of a (K, n) shock matrix.
@@ -171,7 +168,7 @@ def real_gdp_growth_batch(
         status = np.full(len(Z), CONVERGED, dtype=object)
     else:
         if method == GENERAL_CES:
-            result = solve_fixed_point_batch(economy, Z, tol=tol, max_iter=max_iter)
+            result = solve_fixed_point_batch(economy, Z, max_iter=max_iter)
             pi, status = result.pi, result.status
         else:
             pi, status = solve_uniform_ces_batch(economy, Z, 1.0)

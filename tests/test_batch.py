@@ -82,18 +82,19 @@ def reference_fixed_point(e, z, tol=1e-10, max_iter=10_000):
     aug, g = e.augmented_coefficients(), e.gamma
     small = np.abs(g) < GAMMA_SWITCH
     paug = np.ones(e.n + 1)
-    residual = np.inf
+    residual, tiny = np.inf, np.finfo(float).tiny
     for it in range(1, max_iter + 1):
         c = np.empty(e.n)
         c[small] = np.exp(np.log(paug) @ aug[:, small])
         gr = g[~small]
-        # Prices falling toward 0 overflow a negative power to inf, which
-        # the check below reports as divergence.
+        # Prices falling toward 0 overflow a negative power to inf, and a
+        # price below the smallest normal float has lost its relative
+        # precision; the check below reports either as divergence.
         with np.errstate(over="ignore"):
             powers = paug[:, None] ** gr
         c[~small] = np.einsum("ij,ij->j", aug[:, ~small], powers) ** (1 / gr)
         pi = c / z
-        if not np.all(np.isfinite(pi) & (pi > 0) & (pi <= OVERFLOW_GUARD)):
+        if not np.all(np.isfinite(pi) & (pi >= tiny) & (pi <= OVERFLOW_GUARD)):
             return pi, it, np.inf, DIVERGED
         residual = np.max(np.abs(pi - paug[1:]))
         paug[1:] = pi
@@ -110,8 +111,9 @@ def test_fixed_point_rows_equal_single_solves(data, max_iter):
 
 
 def test_fixed_point_rows_equal_single_solves_past_a_power_overflow():
-    # At gamma -1 the first row's prices fall geometrically until a price's
-    # power overflows; the row diverges there, without a warning.
+    # At gamma -1 the first row's prices fall geometrically.  The row
+    # diverges once a price falls below the smallest normal float, 2.2e-308;
+    # its round sweeps on past the power's overflow, which must not warn.
     e = random_economy(3, 2, gamma=-1.0)
     Z = np.array([[10.0, 10.0], [1.2, 0.9]])
     with warnings.catch_warnings():

@@ -100,6 +100,40 @@ class TestSolve:
         assert single_json_error(capsys) == {
             "error": "NotConverged", "message": "status diverged"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_price_stuck_in_the_subnormals_exits_1(self, tmp_path, capsys):
+        # s2's price decays to a subnormal that the map rounds back to
+        # itself; solve once exited 0 with s2 at 1.5e-323 and aggregate
+        # with ln H = 325.
+        (tmp_path / "io.csv").write_text(
+            "sector,s0,s1,s2\n"
+            "PRIMARY,0.41128009,0.4145973,0.20975604\n"
+            "s0,0.11083884,0.20126295,0.08942753\n"
+            "s1,0.23428715,0.17685884,0.24280187\n"
+            "s2,0.24359392,0.20728092,0.45801456\n")
+        (tmp_path / "el.csv").write_text(
+            "s0,0.67949943\ns1,0.65876687\ns2,1.93902478\n")
+        (tmp_path / "z.csv").write_text(
+            "s0,1.2075522\ns1,0.82024082\ns2,2.61335275\n")
+        (tmp_path / "mu.csv").write_text(
+            "s0,0.26326847\ns1,0.29992489\ns2,0.43680664\n")
+        inputs = ["--economy", str(tmp_path / "io.csv"),
+                  "--elasticities", str(tmp_path / "el.csv"),
+                  "--shocks", str(tmp_path / "z.csv")]
+        out = tmp_path / "out"
+        assert main(["solve", *inputs, "--outdir", str(out)]) == 1
+        assert single_json_error(capsys) == {
+            "error": "NotConverged", "message": "status diverged"}
+        meta = json.loads((out / "solve_meta.json").read_text())
+        assert meta["status"] == "diverged"
+        assert not (out / "prices.csv").exists()
+        for kappa in ("0", "0.5"):
+            assert main(["aggregate", *inputs, "--prefs", str(tmp_path / "mu.csv"),
+                         "--kappa", kappa]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert json.loads(captured.err)["error"] == "Unviable"
+
     @staticmethod
     def prices(tmp_path, pi0, *shocks):
         io_path, el_path = write_economy(tmp_path)

@@ -110,7 +110,9 @@ class TestFixedPoint:
     def test_converged_rows_are_relative_equilibria(self, seed, n, tol):
         # A converged row's last step is at most sqrt(tol) of its smallest
         # price, and the map is nonexpansive in relative terms, so its
-        # relative residual is sqrt(tol) to first order.
+        # relative residual is sqrt(tol) to first order.  At a subnormal
+        # price the map can round back to the price and the residual read 0,
+        # so every price must also be a normal float.
         e = random_economy(seed, n)
         rng = np.random.default_rng(seed)
         Z = np.exp(rng.uniform(np.log(1e-3), np.log(1e6), (20, n)))
@@ -120,6 +122,7 @@ class TestFixedPoint:
             pi = batch.pi[k]
             relative = np.abs(cost_map(e, pi, Z[k]) - pi) / pi
             assert relative.max() <= bound
+            assert pi.min() >= np.finfo(float).tiny
 
     def test_rejects_bad_inputs(self, econ4):
         with pytest.raises(ValueError):

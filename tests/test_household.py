@@ -152,6 +152,28 @@ class TestRealGdpGrowth:
             real_gdp_growth_batch(e, prefs, Z, COBB_DOUGLAS)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_price_stuck_in_the_subnormals_is_no_equilibrium(self):
+        # s2's price decays into the subnormals, where c(pi)/z rounds back
+        # to itself: the step is exactly 0, and the row once retired as
+        # "converged" at a price of 1.5e-323 with ln H = 325 at kappa 0.
+        # Only statuses are asserted: the sweep counts follow the
+        # CPU-dispatched bits of pow.
+        table = np.array([[0.41128009, 0.4145973, 0.20975604],
+                          [0.11083884, 0.20126295, 0.08942753],
+                          [0.23428715, 0.17685884, 0.24280187],
+                          [0.24359392, 0.20728092, 0.45801456]])
+        table /= table.sum(axis=0)
+        sigma = np.array([0.67949943, 0.65876687, 1.93902478])
+        e = Economy(labels=("s0", "s1", "s2"), A=table[1:], a0=table[0],
+                    gamma=1.0 - sigma)
+        z = np.array([1.2075522, 0.82024082, 2.61335275])
+        mu = [0.26326847, 0.29992489, 0.43680664]
+        assert list(solve_fixed_point_batch(e, z[None, :]).status) == [DIVERGED]
+        for kappa in (0.0, 0.5):
+            out = real_gdp_growth(e, HouseholdPrefs(mu=mu, kappa=kappa), z)
+            assert isinstance(out, Unviable) and out.status == DIVERGED
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kappa", [1e308, -1e308])
     @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_growth_never_passes(self, econ4, method, kappa):
