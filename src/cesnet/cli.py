@@ -271,9 +271,11 @@ def _cmd_solve(args) -> int:
     z = _load_shocks(args, economy)
     result = eq.solve_fixed_point(economy, z, tol=args.tol, max_iter=args.max_iter)
     out = _outdir(args)
+    # A diverged solve's residual is inf, which strict JSON cannot hold.
+    residual = result.residual if np.isfinite(result.residual) else None
     _write_json(out / "solve_meta.json", {
         "status": result.status, "iterations": result.iterations,
-        "residual": result.residual, "tol": args.tol,
+        "residual": residual, "tol": args.tol,
     })
     if not result.converged:
         raise NotConverged(f"status {result.status}")

@@ -34,15 +34,22 @@ GAMMA_SWITCH = 1e-8
 OVERFLOW_GUARD = 1e12
 
 #: Sweeps per convergence check.  For a few small rows the check costs more
-#: than a sweep, so a round runs as many sweeps as keep the powers it
-#: evaluates, m * rows * (n + 1) * u, within ROUND_FLOATS, and at most
+#: than a sweep, so a round runs as many sweeps as keep its work,
+#: m * rows * (n + 1) * (u + n), within ROUND_FLOATS, and at most
 #: MAX_ROUND_SWEEPS; that also bounds the sweeps wasted past a row's
-#: retirement.  u counts the powers that the cost kernel takes of each price
-#: (one when all power-form columns share one exponent, else one per
-#: power-form column), plus one for the log when some column takes the
-#: log-limit.  A row's iterates, and so its result, do not depend on the
-#: round length.
-ROUND_FLOATS = 2**14
+#: retirement.  A sweep takes, of each price, n products and u powers (one
+#: when all power-form columns share one exponent, else one per power-form
+#: column), plus one log when some column takes the log-limit.  The products
+#: count because a shared exponent's sum costs more than its powers at
+#: n = 100: budgeted by powers alone, 204 rows of a uniform 100-sector
+#: economy ran 6 sweeps a round and took 1.3 times as long as at one.  Of
+#: 2**16 to 2**19, 2**18 was the fastest, or within 1% of it, in-process on
+#: the solves of perfbench's mc-n10 and mc-boundary economies; mc-n10's 160
+#: rows of 10 prices run 7 sweeps a round, 6% faster than the one sweep of
+#: 2**16.  Only runs of at most about a thousand rows at n = 10, or a dozen
+#: at n = 100, get more than one sweep per round.  A row's iterates, and so
+#: its result, do not depend on the round length.
+ROUND_FLOATS = 2**18
 MAX_ROUND_SWEEPS = 16
 
 #: Row outcomes, shared by the recursive solver and the closed forms.
@@ -203,7 +210,13 @@ def solve_fixed_point_batch(
     which it converges or diverges, keeping that iterate, iteration count and
     residual.  Sweeps run in rounds between two such checks (see
     ROUND_FLOATS), so that a long tail of a few slow rows costs little more
-    than their sweeps.
+    than their sweeps.  A round's iterates are stored sector-major, (m + 1,
+    n + 1, rows), as are the shocks, so that the step and the retirement test
+    reduce along axis 1 with one vector operation across all rows, not one
+    short reduction per row.  The cost kernel gets a C-contiguous row-major
+    copy of each iterate, as its bits depend on that layout: on the
+    transposed view, numpy's power writes its output in that view's order
+    and einsum takes another summation path.
     Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
     for bit.
     """
@@ -213,9 +226,14 @@ def solve_fixed_point_batch(
         raise ValueError("max_iter must be at least 1")
     Z = check_shock_matrix(Z, economy.n)
     K, n = Z.shape
+    Z = np.ascontiguousarray(Z.T)
     costs, u = _cost_kernel(economy)
     rel_tol, tiny = np.sqrt(tol), np.finfo(float).tiny
-    paug = np.ones((K, n + 1))
+    paug = np.ones((n + 1, K))
+    # The kernel's row-major prices, copied into one buffer for all sweeps:
+    # a fresh copy per sweep page-faulted thousands of times per solve at
+    # n = 100.
+    rowwise = np.empty((K, n + 1))
     pi = np.empty((K, n))
     iterations = np.full(K, max_iter)
     residual = np.empty(K)
@@ -224,27 +242,29 @@ def solve_fixed_point_batch(
     res = np.full(K, np.inf)
     it = 0
     while rows.size and it < max_iter:
-        m = ROUND_FLOATS // (rows.size * (n + 1) * u)
+        m = ROUND_FLOATS // (rows.size * (n + 1) * (u + n))
         m = max(1, min(m, MAX_ROUND_SWEEPS, max_iter - it))
-        seq = np.empty((m + 1, rows.size, n + 1))
+        seq = np.empty((m + 1, n + 1, rows.size))
         seq[0] = paug
-        seq[1:, :, 0] = 1.0
+        seq[1:, 0] = 1.0
+        prices = rowwise[: rows.size]
         # A row that diverges mid-round is swept on to the end of the round
         # and its later iterates are dropped below, so their zero, inf and
         # NaN prices must not warn, nor the inf - inf of their steps.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in range(m):
-                np.divide(costs(seq[s]), Z, out=seq[s + 1, :, 1:])
-            # The numeraire column adds zeros to the steps, so each is the
+                np.copyto(prices, seq[s].T)
+                np.divide(costs(prices).T, Z, out=seq[s + 1, 1:])
+            # The numeraire adds zeros to the steps, so each is the
             # max-norm change of the row's prices.
-            step = np.max(np.abs(seq[1:] - seq[:-1]), axis=2)
+            step = np.max(np.abs(seq[1:] - seq[:-1]), axis=1)
         paug, res = seq[m], step[-1]
         it += m
-        new = seq[1:, :, 1:]
-        low = new.min(axis=2)
+        new = seq[1:, 1:]
+        low = new.min(axis=1)
         # A subnormal price has lost its relative precision: c(pi)/z can
         # round back to it, a step of exactly 0.
-        diverged = ~((low >= tiny) & (new.max(axis=2) <= OVERFLOW_GUARD))
+        diverged = ~((low >= tiny) & (new.max(axis=1) <= OVERFLOW_GUARD))
         done = diverged | ((step <= tol) & (step <= rel_tol * low))
         hit = done.any(axis=0)
         if not hit.any():
@@ -252,13 +272,13 @@ def solve_fixed_point_batch(
         # The first sweep of the round at which each such row is done.
         at, r = done.argmax(axis=0)[hit], np.flatnonzero(hit)
         finished = rows[r]
-        pi[finished] = new[at, r]
+        pi[finished] = new[at, :, r]
         iterations[finished] = it - m + at + 1
         residual[finished] = step[at, r]
         outcome[finished] = diverged[at, r]
         keep = ~hit
-        rows, Z, paug, res = rows[keep], Z[keep], paug[keep], res[keep]
-    pi[rows] = paug[:, 1:]
+        rows, Z, paug, res = rows[keep], Z[:, keep], paug[:, keep], res[keep]
+    pi[rows] = paug[1:].T
     residual[rows] = res
     residual[outcome == 1] = np.inf
     status = np.array([CONVERGED, DIVERGED, MAX_ITERATIONS], dtype=object)[outcome]

@@ -346,6 +346,33 @@ def test_one_batch_holds_every_status(monkeypatch, round_sweeps):
         assert [batch.iterations[k], batch.residual[k], batch.status[k]] == ref
 
 
+@pytest.mark.parametrize("gamma", [
+    None,  # distinct exponents
+    np.resize([0.0, 0.9, -0.5, 0.3 * GAMMA_SWITCH, 1.4], 10),  # some log-limit
+    np.where(np.arange(10) == 3, 0.9, 0.0),  # column 3 alone takes the power
+], ids=["distinct", "some-log-limit", "one-power-form"])
+def test_rows_independent_of_round_length(monkeypatch, gamma):
+    # One sweep per round, the module's budget and 16 sweeps per round must
+    # give each row the bits of the plain loop: neither the round length nor
+    # the sector-major layout of the iterates may reach the kernel's bits.
+    e = random_economy(11, 10, gamma=gamma)
+    Z = np.exp(0.5 * np.random.default_rng(11).standard_normal((160, 10)))
+    batches = []
+    for budget in (1, equilibrium.ROUND_FLOATS, 2**22):
+        monkeypatch.setattr(equilibrium, "ROUND_FLOATS", budget)
+        batches.append(solve_fixed_point_batch(e, Z))
+    for batch in batches:
+        np.testing.assert_array_equal(bits(batch.pi), bits(batches[0].pi))
+        np.testing.assert_array_equal(bits(batch.residual), bits(batches[0].residual))
+        np.testing.assert_array_equal(batch.iterations, batches[0].iterations)
+        assert list(batch.status) == list(batches[0].status)
+    for k, z in enumerate(Z):
+        ref_pi, *ref = reference_fixed_point(e, z)
+        np.testing.assert_array_equal(bits(batches[0].pi[k]), bits(ref_pi))
+        assert [batches[0].iterations[k], batches[0].residual[k],
+                batches[0].status[k]] == ref
+
+
 def test_singular_leontief_row_fails_alone():
     e = Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0])
     Z = np.array([[2.0], [0.5], [0.25], [1.0]])  # 0.5 - 0.5 = 0 is singular

@@ -54,6 +54,12 @@ def single_json_error(capsys):
     return json.loads(err)
 
 
+def reject_constant(name):
+    """``parse_constant`` hook of a strict JSON reader: NaN and Infinity
+    are not JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestSolve:
     def test_benchmark_prices_are_one(self, tmp_path):
         io_path, el_path = write_economy(tmp_path)
@@ -81,8 +87,10 @@ class TestSolve:
         assert capsys.readouterr().err == (
             '{"error": "NotConverged", "message": "status diverged"}\n'
         )
-        meta = json.loads((tmp_path / "out" / "solve_meta.json").read_text())
+        meta = json.loads((tmp_path / "out" / "solve_meta.json").read_text(),
+                          parse_constant=reject_constant)
         assert meta["status"] == "diverged"
+        assert meta["residual"] is None
         assert not (tmp_path / "out" / "prices.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
