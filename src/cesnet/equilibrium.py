@@ -21,6 +21,7 @@ K = 1 case and return bit for bit the same row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,8 +45,9 @@ OVERFLOW_GUARD = 1e12
 #: n = 100: budgeted by powers alone, 204 rows of a uniform 100-sector
 #: economy ran 6 sweeps a round and took 1.3 times as long as at one.  Of
 #: 2**16 to 2**19, 2**18 was the fastest, or within 1% of it, in-process on
-#: the solves of perfbench's mc-n10 and mc-boundary economies; mc-n10's 160
-#: rows of 10 prices run 7 sweeps a round, 6% faster than the one sweep of
+#: the solves of perfbench's mc-n10 and mc-boundary economies, with the
+#: row-major cost kernel and again with the sector-major one; mc-n10's 160
+#: rows of 10 prices run 7 sweeps a round, 12% faster than the one sweep of
 #: 2**16.  Only runs of at most about a thousand rows at n = 10, or a dozen
 #: at n = 100, get more than one sweep per round.  A row's iterates, and so
 #: its result, do not depend on the round length.
@@ -106,33 +108,41 @@ def unit_costs(economy: Economy, pi, pi0: float = 1.0) -> np.ndarray:
     """
     pi, pi0 = check_prices(pi, economy.n, pi0)
     paug = np.concatenate(([pi0], pi))
-    costs, _ = _cost_kernel(economy)
-    return costs(paug[None, :])[0]
+    costs, _ = _cost_kernel(economy, 1)
+    return costs(paug[:, None])[:, 0]
 
 
-def _cost_kernel(economy: Economy):
-    """The unit-cost map on rows of augmented prices, (K, n + 1) -> (K, n),
-    and the number u of powers (and logs) that it takes of each price.
+def _cost_kernel(economy: Economy, width: int):
+    """The unit-cost map on sector-major augmented prices, (n + 1, rows) ->
+    (n, rows) for any rows up to ``width``, and the number u of powers (and
+    logs) that it takes of each price.
 
-    No input validation; hot path of the solver.  Each row is computed with
-    the same operations whatever K is, so a row's costs do not depend on the
-    rows batched with it.
+    No input validation; hot path of the solver.  Each column is computed
+    with the same operations whatever rows is, so its costs do not depend on
+    the columns batched with it.  The costs returned are a view of buffers
+    that the next call overwrites: the power and sum buffers are allocated
+    once, at full width, and a call on fewer rows writes a prefix of them.
 
-    Two sums, adding the same products in the same order, so with the same
-    bits.  When all power-form columns share one exponent (a uniform
-    economy, with or without log-limit columns, or a single power-form
-    column), each price is raised to it once and a two-operand einsum reads
-    those powers for every column; otherwise a three-operand einsum reads
-    one power per price and column.  The exponent's layout copies the
-    per-column one, as numpy's float64 power takes 1/x, sqrt(x) or x*x for a
-    stride-0 exponent of -1, 0.5 or 2, whose last bits can differ from
-    pow's: an exponent shared by two or more columns is a strided
-    (n + 1, 1) array, while a single column, like distinct exponents, keeps
-    the 1-D exponents that the per-column power broadcasts with stride 0.
-    Columns are never gathered from the powers of a few distinct exponents:
-    no workload has them, and per-exponent sums beat that copy where
-    measured.  The sums take einsum's own loops, never BLAS, whose blocking
-    would change the bits with the build and thread count.
+    The sum over the n + 1 inputs runs the longer of its two other axes
+    innermost, so that numpy's power and einsum sweep long contiguous loops:
+    a call on at least as many rows as the p power-form columns takes powers
+    (n + 1, p, rows) and sums (p, rows), and any other call takes powers
+    (n + 1, rows, p) and returns its (rows, p) sums as a transposed view.
+    When two or more columns share one exponent (a uniform economy, with or
+    without log-limit columns), each price is raised to it once, (n + 1,
+    rows), and a two-operand einsum reads those powers for every column.
+    Both orders add the same products in the same order, in einsum's own
+    loops, never BLAS, whose blocking would change the bits with the build
+    and thread count.  The exponents' layout copies the per-column
+    formula's, as numpy's float64 power takes 1/x, sqrt(x), x or x*x for a
+    stride-0 exponent of -1, 0.5, 1 or 2, whose last bits can differ from
+    pow's: for two or more power-form columns the exponents and 1/gamma are
+    laid out once, (.., width), with a nonzero stride along rows, while a
+    single column keeps stride-0 exponents.  A single column also keeps the
+    per-column sum, einsum's reduction along a price vector's n + 1
+    contiguous powers, so its powers are row-major, (rows, n + 1).
+    Log-limit columns take row-by-row vector-matrix products on a row-major
+    copy of the log prices, as for a single price vector.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -142,28 +152,69 @@ def _cost_kernel(economy: Economy):
     aug_small, aug_rest = aug[:, small], np.ascontiguousarray(aug[:, rest])
     g_rest = g[rest]
     inv_rest = 1.0 / g_rest
+    (n1, n), p = aug.shape, g_rest.size
     mixed = small.any()
-    exps = g_rest
-    if g_rest.size > 1 and np.all(g_rest == g_rest[0]):
-        exps = np.full((aug.shape[0], 1), g_rest[0])
-    single = exps.shape[-1] == 1
+    shared = p > 0 and np.all(g_rest == g_rest[0])
+    if p != 1:
+        exps = (np.full((n1, width), g_rest[0]) if shared
+                else np.repeat(g_rest[:, None], width, axis=1))
+        invs = np.repeat(inv_rest[:, None], width, axis=1)
+    u = 1 if shared else p
+    powers, sums = np.empty(n1 * u * width), np.empty(p * width)
+    if mixed:
+        out, logs = np.empty(n * width), np.empty((width, n1))
+    # Built once per row count: building them took about a quarter of a
+    # 5-row sweep at n = 10.
+    views = {}
+
+    def layout(rows):
+        """A call's views on `rows` prices: the view that broadcasts the
+        prices, powers, exponents, subscripts, sums, their exponents and the
+        (n, rows) costs, then the log-limit views."""
+        inner = p == 1 or rows >= p
+        if p == 1:
+            view, shape, spec = np.ndarray.transpose, (rows, n1), "ij,ki->jk"
+            e, ie = g_rest[0], inv_rest[0]
+        elif shared:
+            view, shape = itemgetter(Ellipsis), (n1, rows)
+            spec = "ij,ik->jk" if inner else "ij,ik->kj"
+        elif inner:
+            view, shape = itemgetter((slice(None), None)), (n1, p, rows)
+            spec = "ij,ijk->jk"
+        else:
+            view, shape = itemgetter((Ellipsis, None)), (n1, rows, p)
+            spec = "ij,ikj->kj"
+        if p != 1:
+            e = exps[:, :rows] if inner or shared else g_rest
+            ie = invs[:, :rows] if inner else inv_rest
+        w = powers[: n1 * u * rows].reshape(shape)
+        c = sums[: p * rows].reshape((p, rows) if inner else (rows, p))
+        v = view, w, e, spec, c, ie, c if inner else c.T
+        if mixed:
+            v += out[: n * rows].reshape(n, rows), logs[:rows]
+        return v
 
     def costs(paug):
-        powers = np.power(paug[:, :, None], exps)
-        if single:
-            c = np.einsum("ij,ki->kj", aug_rest, powers[:, :, 0]) ** inv_rest
-        else:
-            c = np.einsum("ij,kij->kj", aug_rest, powers) ** inv_rest
-        if not mixed:
-            return c
-        out = np.empty((paug.shape[0], g.size))
-        out[:, rest] = c
+        v = views.get(paug.shape[1])
+        if v is None:
+            v = views[paug.shape[1]] = layout(paug.shape[1])
+        if p:
+            view, w, e, spec, c, ie, cost = v[:7]
+            np.power(view(paug), e, out=w)
+            np.einsum(spec, aug_rest, w, out=c)
+            np.power(c, ie, out=c)
+            if not mixed:
+                return cost
+        o, lg = v[7:]
+        if p:
+            o[rest] = cost
+        np.copyto(lg, paug.T)
+        np.log(lg, out=lg)
         # Row-by-row vector-matrix products, as for a single price vector.
-        log_p = np.log(paug)[:, None, :]
-        out[:, small] = np.exp(np.matmul(log_p, aug_small)[:, 0])
-        return out
+        o[small] = np.exp(np.matmul(lg[:, None, :], aug_small)[:, 0]).T
+        return o
 
-    return costs, exps.shape[-1] + int(mixed)
+    return costs, u + int(mixed)
 
 
 def unit_cost(economy: Economy, j: int, pi, pi0: float = 1.0) -> float:
@@ -213,10 +264,9 @@ def solve_fixed_point_batch(
     than their sweeps.  A round's iterates are stored sector-major, (m + 1,
     n + 1, rows), as are the shocks, so that the step and the retirement test
     reduce along axis 1 with one vector operation across all rows, not one
-    short reduction per row.  The cost kernel gets a C-contiguous row-major
-    copy of each iterate, as its bits depend on that layout: on the
-    transposed view, numpy's power writes its output in that view's order
-    and einsum takes another summation path.
+    short reduction per row.  The cost kernel sweeps each iterate in place
+    and writes its costs over the shocks into the next, and as every row
+    starts at the benchmark, the first sweep's costs are one column's.
     Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
     for bit.
     """
@@ -227,13 +277,10 @@ def solve_fixed_point_batch(
     Z = check_shock_matrix(Z, economy.n)
     K, n = Z.shape
     Z = np.ascontiguousarray(Z.T)
-    costs, u = _cost_kernel(economy)
+    costs, u = _cost_kernel(economy, K)
     rel_tol, tiny = np.sqrt(tol), np.finfo(float).tiny
     paug = np.ones((n + 1, K))
-    # The kernel's row-major prices, copied into one buffer for all sweeps:
-    # a fresh copy per sweep page-faulted thousands of times per solve at
-    # n = 100.
-    rowwise = np.empty((K, n + 1))
+    benchmark = np.ones((n + 1, 1))
     pi = np.empty((K, n))
     iterations = np.full(K, max_iter)
     residual = np.empty(K)
@@ -247,14 +294,13 @@ def solve_fixed_point_batch(
         seq = np.empty((m + 1, n + 1, rows.size))
         seq[0] = paug
         seq[1:, 0] = 1.0
-        prices = rowwise[: rows.size]
         # A row that diverges mid-round is swept on to the end of the round
         # and its later iterates are dropped below, so their zero, inf and
         # NaN prices must not warn, nor the inf - inf of their steps.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for s in range(m):
-                np.copyto(prices, seq[s].T)
-                np.divide(costs(prices).T, Z, out=seq[s + 1, 1:])
+                prices = seq[s] if it or s else benchmark
+                np.divide(costs(prices), Z, out=seq[s + 1, 1:])
             # The numeraire adds zeros to the steps, so each is the
             # max-norm change of the row's prices.
             step = np.max(np.abs(seq[1:] - seq[:-1]), axis=1)

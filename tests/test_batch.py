@@ -26,6 +26,7 @@ from cesnet.equilibrium import (
     NO_POSITIVE_SOLUTION,
     OVERFLOW_GUARD,
     SINGULAR,
+    cost_map,
     solve_cobb_douglas,
     solve_cobb_douglas_batch,
     solve_fixed_point,
@@ -33,6 +34,7 @@ from cesnet.equilibrium import (
     solve_leontief,
     solve_uniform_ces,
     solve_uniform_ces_batch,
+    unit_costs,
 )
 from cesnet.errors import (
     MalformedTable,
@@ -217,11 +219,12 @@ def reference_growth(e, prefs, z, method, max_iter):
 
 
 def oracle_cost_kernel(economy):
-    """The per-column cost kernel, kept as the oracle: one power per price
-    and column, summed per column, with the round length of n powers per
-    price.  It is ``_cost_kernel``'s own path unless all power-form columns
-    share one exponent, so it holds that one-exponent sum and the kernel's
-    shorter rounds to the per-column bits."""
+    """The per-column cost kernel, kept as the oracle: row-major prices
+    (K, n + 1), one power per price and column, summed per column, with the
+    round length of n powers per price.  ``_cost_kernel`` takes sector-major
+    prices, may run rows innermost and shares one exponent's powers, so this
+    holds its two axis orders, its one-exponent sum and its shorter rounds to
+    the per-column bits."""
     aug = economy.augmented_coefficients()
     g = economy.gamma
     small = np.abs(g) < GAMMA_SWITCH
@@ -276,17 +279,37 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def sector_major_oracle(calls):
+    """``oracle_cost_kernel`` in ``_cost_kernel``'s place: it takes
+    sector-major (n + 1, rows) prices and returns (n, rows) costs by
+    transposing in and out, and appends the rows of each call to ``calls``."""
+    def kernel(economy, width):
+        costs, u = oracle_cost_kernel(economy)
+
+        def sector_major(paug):
+            calls.append(paug.shape[1])
+            return costs(np.ascontiguousarray(paug.T)).T
+
+        return sector_major, u
+
+    return kernel
+
+
 def assert_same_as_old_kernel(e, Z, max_iter=10_000):
     """The solve equals, bit for bit, the solve with the oracle kernel, and
     the kernel counts the powers it takes as it should."""
     g_rest = e.gamma[np.abs(e.gamma) >= GAMMA_SWITCH]
     u = np.unique(g_rest).size
     powered = 1 if u == 1 else g_rest.size
-    assert equilibrium._cost_kernel(e)[1] == powered + (g_rest.size < e.n)
+    assert equilibrium._cost_kernel(e, 1)[1] == powered + (g_rest.size < e.n)
     got = solve_fixed_point_batch(e, Z, max_iter=max_iter)
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equilibrium, "_cost_kernel", oracle_cost_kernel)
+        mp.setattr(equilibrium, "_cost_kernel", sector_major_oracle(calls))
         want = solve_fixed_point_batch(e, Z, max_iter=max_iter)
+    # The oracle swept every sweep of the solve, or this compared the
+    # kernel with itself.
+    assert len(calls) >= want.iterations.max(initial=0)
     np.testing.assert_array_equal(bits(got.pi), bits(want.pi))
     np.testing.assert_array_equal(bits(got.residual), bits(want.residual))
     np.testing.assert_array_equal(got.iterations, want.iterations)
@@ -326,6 +349,73 @@ def test_shared_powers_of_one_power_form_column(gamma):
     e = random_economy(7, 10, gamma=g)
     Z = np.exp(0.5 * np.random.default_rng(7).standard_normal((200, 10)))
     assert_same_as_old_kernel(e, Z)
+
+
+def axis_order_economies():
+    """Economies at n = 1, 2, 10 and 100: uniform at each special exponent,
+    distinct exponents, a single power-form column and two log-limit mixes."""
+    cases = []
+    for n in (1, 2, 10, 100):
+        kinds = [(f"uniform{g}", g) for g in SPECIAL_GAMMAS]
+        kinds += [("distinct", None)]
+        kinds += [(f"one-power-form{g}", np.where(np.arange(n) == n // 2, g, 0.0))
+                  for g in (0.5, 2.0, -1.0, 0.9)]
+        kinds += [("log-limit-mix", np.resize([0.0, 0.9, -0.5, 0.3 * GAMMA_SWITCH, 1.4], n)),
+                  ("shared-log-limit-mix", np.resize([0.5, 0.0, 0.5], n))]
+        cases += [pytest.param(random_economy(n, n, gamma=gamma), id=f"n{n}-{name}")
+                  for name, gamma in kinds]
+    return cases
+
+
+def rows_across_the_switch(n):
+    """Row counts on both sides of the kernel's switch to rows innermost at
+    as many rows as power-form columns."""
+    return (1, 25, 100) if n == 100 else (1, n - 1, n, n + 1, 160)
+
+
+def per_column_costs(e, paug):
+    """The oracle kernel's costs of each column of sector-major prices, one
+    column at a time, as (n, rows)."""
+    costs, _ = oracle_cost_kernel(e)
+    return np.array([costs(paug[:, j][None, :])[0] for j in range(paug.shape[1])]
+                    ).reshape(paug.shape[1], e.n).T
+
+
+@pytest.mark.parametrize("e", axis_order_economies())
+def test_axis_orders_equal_the_per_column_formula(e):
+    # One kernel at the solve's full width, called as rows retire and then
+    # again on the cached views, against the oracle one column at a time.
+    rows = rows_across_the_switch(e.n)
+    costs, _ = equilibrium._cost_kernel(e, max(rows))
+    rng = np.random.default_rng(e.n)
+    for k in [*sorted(rows, reverse=True), *rows]:
+        paug = np.exp(0.5 * rng.standard_normal((e.n + 1, k)))
+        got = costs(paug)
+        assert got.shape == (e.n, k)
+        np.testing.assert_array_equal(bits(got), bits(per_column_costs(e, paug)))
+
+
+@pytest.mark.parametrize("e", axis_order_economies())
+def test_solve_axis_orders_equal_the_old_kernel(e):
+    # Whole solves from the shared first sweep on: rows retire across the
+    # switch, and at n = 100 fewer sweeps keep the oracle affordable.
+    max_iter = 300 if e.n == 100 else 10_000
+    for k in rows_across_the_switch(e.n):
+        Z = np.exp(0.5 * np.random.default_rng(k).standard_normal((k, e.n)))
+        assert_same_as_old_kernel(e, Z, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("e", axis_order_economies())
+def test_one_vector_costs_equal_the_per_column_formula(e):
+    # unit_costs and cost_map call the kernel on one column, at any
+    # numeraire.
+    rng = np.random.default_rng(e.n)
+    for pi0 in (1.0, 0.7, 3.0):
+        pi = np.exp(0.5 * rng.standard_normal(e.n))
+        z = np.exp(0.5 * rng.standard_normal(e.n))
+        want = per_column_costs(e, np.concatenate(([pi0], pi))[:, None])[:, 0]
+        np.testing.assert_array_equal(bits(unit_costs(e, pi, pi0)), bits(want))
+        np.testing.assert_array_equal(bits(cost_map(e, pi, z, pi0)), bits(want / z))
 
 
 @pytest.mark.parametrize("round_sweeps", [1, 3, equilibrium.MAX_ROUND_SWEEPS])
