@@ -43,12 +43,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: usage error, or --help
         return int(exc.code or 0)
-    except (CesnetError, OSError, UnicodeDecodeError) as exc:
+    except (CesnetError, OSError, UnicodeDecodeError, MemoryError) as exc:
         # OSError: an input file that is missing or unreadable, or an
         # output that cannot be written; UnicodeDecodeError: an input
-        # file that is not UTF-8.
+        # file that is not UTF-8; MemoryError: arrays too large to
+        # allocate, such as the shocks of a huge --count, reported by
+        # that name rather than numpy's private subclass.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
+            {"error": name, "message": str(exc)},
             sys.stderr,
             sort_keys=True,
         )

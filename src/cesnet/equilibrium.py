@@ -21,7 +21,6 @@ K = 1 case and return bit for bit the same row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -119,30 +118,41 @@ def _cost_kernel(economy: Economy, width: int):
 
     No input validation; hot path of the solver.  Each column is computed
     with the same operations whatever rows is, so its costs do not depend on
-    the columns batched with it.  The costs returned are a view of buffers
-    that the next call overwrites: the power and sum buffers are allocated
-    once, at full width, and a call on fewer rows writes a prefix of them.
+    the columns batched with it.  The costs returned may be a view of
+    buffers that the next call overwrites.
 
-    The sum over the n + 1 inputs runs the longer of its two other axes
-    innermost, so that numpy's power and einsum sweep long contiguous loops:
-    a call on at least as many rows as the p power-form columns takes powers
-    (n + 1, p, rows) and sums (p, rows), and any other call takes powers
-    (n + 1, rows, p) and returns its (rows, p) sums as a transposed view.
-    When two or more columns share one exponent (a uniform economy, with or
-    without log-limit columns), each price is raised to it once, (n + 1,
-    rows), and a two-operand einsum reads those powers for every column.
-    Both orders add the same products in the same order, in einsum's own
-    loops, never BLAS, whose blocking would change the bits with the build
-    and thread count.  The exponents' layout copies the per-column
-    formula's, as numpy's float64 power takes 1/x, sqrt(x), x or x*x for a
-    stride-0 exponent of -1, 0.5, 1 or 2, whose last bits can differ from
-    pow's: for two or more power-form columns the exponents and 1/gamma are
-    laid out once, (.., width), with a nonzero stride along rows, while a
-    single column keeps stride-0 exponents.  A single column also keeps the
-    per-column sum, einsum's reduction along a price vector's n + 1
-    contiguous powers, so its powers are row-major, (rows, n + 1).
-    Log-limit columns take row-by-row vector-matrix products on a row-major
-    copy of the log prices, as for a single price vector.
+    Every call with power-form columns takes the same three steps on one
+    logical shape: the prices, broadcast to (n + 1, u, rows), are raised to
+    the exponents, where u is 1 when all p power-form columns share one
+    exponent and p otherwise; one einsum, ``"ij,ijk->jk"``, sums the powers
+    into (p, rows), a size-1 u axis broadcasting to every column; and the
+    sums are raised to 1/gamma.  The sum is einsum's own loop, never BLAS,
+    whose blocking would change the bits with the build and thread count.
+    An all-Cobb-Douglas economy skips the three calls, which on empty
+    arrays made its solve up to 1.6 times slower.  The power and sum
+    buffers are allocated once, at full width, and each row count picks one
+    of three memory orders for them, which numpy's loops walk in memory
+    order:
+
+    - rows innermost when rows >= p, so that the power and sum sweep long
+      contiguous loops across rows;
+    - sectors innermost otherwise, as transposed views of the same buffers,
+      for the same reason when p is the longer axis;
+    - prices innermost for a single power-form column (n = 1 included),
+      whose per-column sum is einsum's reduction along a price vector's
+      n + 1 contiguous powers, with other bits than a sequential sum.
+
+    The exponents follow the per-column formula's strides, as numpy's
+    float64 power takes 1/x, sqrt(x), x or x*x for a stride-0 exponent of
+    -1, 0.5, 1 or 2, whose last bits can differ from pow's: a single column
+    takes scalar exponents, and two or more columns exponents with nonzero
+    strides.  Those of a shared exponent, and with rows innermost every
+    exponent and 1/gamma, are laid out once per solve at full width; with
+    sectors innermost, distinct exponents and 1/gamma run along the
+    contiguous sector vectors, as strided ones made the 25-row solve at
+    n = 100 1.3 times slower.  Log-limit columns take row-by-row
+    vector-matrix products on a row-major copy of the log prices, as for a
+    single price vector, in fresh arrays.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -154,62 +164,45 @@ def _cost_kernel(economy: Economy, width: int):
     inv_rest = 1.0 / g_rest
     (n1, n), p = aug.shape, g_rest.size
     mixed = small.any()
-    shared = p > 0 and np.all(g_rest == g_rest[0])
+    u = 1 if p and np.all(g_rest == g_rest[0]) else p
     if p != 1:
-        exps = (np.full((n1, width), g_rest[0]) if shared
-                else np.repeat(g_rest[:, None], width, axis=1))
+        # A shared exponent is laid out along the prices too, the inner loop
+        # of a one-row call, where a stride-0 exponent would change its bits.
+        exps = np.full((n1 if u == 1 else 1, u, width), g_rest[:u, None])
         invs = np.repeat(inv_rest[:, None], width, axis=1)
-    u = 1 if shared else p
     powers, sums = np.empty(n1 * u * width), np.empty(p * width)
-    if mixed:
-        out, logs = np.empty(n * width), np.empty((width, n1))
     # Built once per row count: building them took about a quarter of a
     # 5-row sweep at n = 10.
     views = {}
 
     def layout(rows):
-        """A call's views on `rows` prices: the view that broadcasts the
-        prices, powers, exponents, subscripts, sums, their exponents and the
-        (n, rows) costs, then the log-limit views."""
-        inner = p == 1 or rows >= p
+        """The powers, their exponents, the sums and their exponents of a
+        call on `rows` prices, in the memory order that `rows` picks."""
+        w, c = powers[: n1 * u * rows], sums[: p * rows]
         if p == 1:
-            view, shape, spec = np.ndarray.transpose, (rows, n1), "ij,ki->jk"
-            e, ie = g_rest[0], inv_rest[0]
-        elif shared:
-            view, shape = itemgetter(Ellipsis), (n1, rows)
-            spec = "ij,ik->jk" if inner else "ij,ik->kj"
-        elif inner:
-            view, shape = itemgetter((slice(None), None)), (n1, p, rows)
-            spec = "ij,ijk->jk"
-        else:
-            view, shape = itemgetter((Ellipsis, None)), (n1, rows, p)
-            spec = "ij,ikj->kj"
-        if p != 1:
-            e = exps[:, :rows] if inner or shared else g_rest
-            ie = invs[:, :rows] if inner else inv_rest
-        w = powers[: n1 * u * rows].reshape(shape)
-        c = sums[: p * rows].reshape((p, rows) if inner else (rows, p))
-        v = view, w, e, spec, c, ie, c if inner else c.T
-        if mixed:
-            v += out[: n * rows].reshape(n, rows), logs[:rows]
-        return v
+            return w.reshape(rows, 1, n1).T, g_rest[0], c.reshape(1, rows), inv_rest[0]
+        if rows >= p:
+            return (w.reshape(n1, u, rows), exps[..., :rows],
+                    c.reshape(p, rows), invs[:, :rows])
+        return (w.reshape(n1, rows, u).swapaxes(1, 2),
+                exps[..., :rows] if u == 1 else g_rest[:, None],
+                c.reshape(rows, p).T, inv_rest[:, None])
 
     def costs(paug):
         v = views.get(paug.shape[1])
         if v is None:
             v = views[paug.shape[1]] = layout(paug.shape[1])
+        w, e, c, ie = v
         if p:
-            view, w, e, spec, c, ie, cost = v[:7]
-            np.power(view(paug), e, out=w)
-            np.einsum(spec, aug_rest, w, out=c)
+            np.power(paug[:, None], e, out=w)
+            np.einsum("ij,ijk->jk", aug_rest, w, out=c)
             np.power(c, ie, out=c)
             if not mixed:
-                return cost
-        o, lg = v[7:]
+                return c
+        o = np.empty((n, paug.shape[1]))
         if p:
-            o[rest] = cost
-        np.copyto(lg, paug.T)
-        np.log(lg, out=lg)
+            o[rest] = c
+        lg = np.log(np.ascontiguousarray(paug.T))
         # Row-by-row vector-matrix products, as for a single price vector.
         o[small] = np.exp(np.matmul(lg[:, None, :], aug_small)[:, 0]).T
         return o

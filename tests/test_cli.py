@@ -318,6 +318,20 @@ class TestBadCountWorkersKappa:
         assert err.startswith("usage:") and flag in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "experiment"])
+    def test_unallocatable_count_is_a_domain_error(self, tmp_path, capsys, subcommand):
+        # 10**13 draws of two shocks take 146 TiB, more than an x86-64
+        # address space holds, so the allocation fails at once.
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            subcommand, "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--count", str(10**13),
+            "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        error = single_json_error(capsys)
+        assert error["error"] == "MemoryError" and "TiB" in error["message"]
+
 
 class TestMissingFiles:
     @pytest.mark.parametrize("missing", [
