@@ -125,9 +125,10 @@ def _cost_kernel(economy: Economy, width: int):
     logical shape: the prices, broadcast to (n + 1, u, rows), are raised to
     the exponents, where u is 1 when all p power-form columns share one
     exponent and p otherwise; one einsum, ``"ij,ijk->jk"``, sums the powers
-    into (p, rows), a size-1 u axis broadcasting to every column; and the
-    sums are raised to 1/gamma.  The sum is einsum's own loop, never BLAS,
-    whose blocking would change the bits with the build and thread count.
+    into (p, rows), in its own loop, never BLAS, whose blocking would change
+    the bits with the build and thread count; and the sums are raised to
+    1/gamma.  For u = 1 the einsum broadcasts a size-1 labelled axis, which
+    numpy documents only for ellipses; ``test_shared_powers_*`` guard it.
     An all-Cobb-Douglas economy skips the three calls, which on empty
     arrays made its solve up to 1.6 times slower.  The power and sum
     buffers are allocated once, at full width, and each row count picks one
@@ -152,7 +153,8 @@ def _cost_kernel(economy: Economy, width: int):
     contiguous sector vectors, as strided ones made the 25-row solve at
     n = 100 1.3 times slower.  Log-limit columns take row-by-row
     vector-matrix products on a row-major copy of the log prices, as for a
-    single price vector, in fresh arrays.
+    single price vector, in fresh arrays, which on 204-row blocks at
+    n = 100 faulted and took no more than full-width buffers.
     """
     aug = economy.augmented_coefficients()
     g = economy.gamma
@@ -171,8 +173,8 @@ def _cost_kernel(economy: Economy, width: int):
         exps = np.full((n1 if u == 1 else 1, u, width), g_rest[:u, None])
         invs = np.repeat(inv_rest[:, None], width, axis=1)
     powers, sums = np.empty(n1 * u * width), np.empty(p * width)
-    # Built once per row count: building them took about a quarter of a
-    # 5-row sweep at n = 10.
+    # Built once per row count: building them takes about a fifth of a
+    # 5-row sweep at n = 10 (2.8 of 12-17 us).
     views = {}
 
     def layout(rows):
