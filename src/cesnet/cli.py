@@ -155,7 +155,6 @@ def _build_parser():
     p = add("structure", _cmd_structure, "equilibrium structure and viability")
     economy_opts(p)
     p.add_argument("--shocks", help="shock CSV (label,z)")
-    p.add_argument("--pi0", type=_positive_float, default=1.0)
     p.add_argument("--outdir", default=".")
 
     p = add("aggregate", _cmd_aggregate, "real GDP growth for one shock")
@@ -282,16 +281,12 @@ def _cmd_solve(args) -> int:
     })
     if not result.converged:
         raise NotConverged(f"status {result.status}")
-    econ.write_csv(out / "prices.csv", ["label", "price"], economy.labels,
-                   _at_numeraire(args.pi0, result.pi))
-    return 0
-
-
-def _at_numeraire(pi0, pi):
-    """The prices at numeraire 1 scaled to ``pi0``; a price that overflows
-    to inf or underflows to 0 raises NonPositivePrice."""
+    # Prices at numeraire 1 scaled to --pi0; one that overflows to inf or
+    # underflows to 0 raises NonPositivePrice.
     with np.errstate(over="ignore"):
-        return econ.check_prices(pi0 * pi, pi.size)[0]
+        prices = econ.check_prices(args.pi0 * result.pi, economy.n)[0]
+    econ.write_csv(out / "prices.csv", ["label", "price"], economy.labels, prices)
+    return 0
 
 
 def _cmd_structure(args) -> int:
@@ -300,8 +295,7 @@ def _cmd_structure(args) -> int:
     result = eq.solve_fixed_point(economy, z)
     if not result.converged:
         raise NotConverged(f"status {result.status}")
-    structure = struct_mod.equilibrium_structure(
-        economy, _at_numeraire(args.pi0, result.pi), args.pi0, z)
+    structure = struct_mod.equilibrium_structure(economy, result.pi, 1.0, z)
     out = _outdir(args)
     header = ["input", *economy.labels]
     econ.write_csv(out / "b_matrix.csv", header, ["PRIMARY", *economy.labels],
@@ -463,8 +457,8 @@ def _cmd_experiment(args) -> int:
     economy = econ.load_economy(args.economy, args.elasticities)
     prefs = _load_prefs(args, economy)
     config = mc.ShockConfig(count=args.count, sigma=args.sigma, seed=args.seed)
-    out = _outdir(args)
     shocks = mc.shock_matrix(economy.n, config)
+    out = _outdir(args)
     shock_hash = hashlib.sha256(shocks.tobytes()).hexdigest()
 
     report = {"seed": args.seed, "count": args.count, "sigma": args.sigma,

@@ -44,8 +44,7 @@ OVERFLOW_GUARD = 1e12
 #: n = 100: budgeted by powers alone, 204 rows of a uniform 100-sector
 #: economy ran 6 sweeps a round and took 1.3 times as long as at one.  Of
 #: 2**16 to 2**19, 2**18 was the fastest, or within 1% of it, in-process on
-#: the solves of perfbench's mc-n10 and mc-boundary economies, with the
-#: row-major cost kernel and again with the sector-major one; mc-n10's 160
+#: the solves of perfbench's mc-n10 and mc-boundary economies; mc-n10's 160
 #: rows of 10 prices run 7 sweeps a round, 12% faster than the one sweep of
 #: 2**16.  Only runs of at most about a thousand rows at n = 10, or a dozen
 #: at n = 100, get more than one sweep per round.  A row's iterates, and so
@@ -265,8 +264,8 @@ def solve_fixed_point_batch(
     Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
     for bit.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     Z = check_shock_matrix(Z, economy.n)

@@ -74,6 +74,8 @@ def shapiro_wilk(series) -> tuple[float, float]:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 3 or x.size > 5000:
         raise SeriesTooShort("Shapiro-Wilk needs a 1-d sample of length 3..5000")
+    if not np.isfinite(x).all():
+        raise DegenerateSample("non-finite sample")
     if np.ptp(x) == 0:
         raise DegenerateSample("constant sample")
     nn = x.size

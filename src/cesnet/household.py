@@ -199,8 +199,17 @@ def domar_weights(economy: Economy, m) -> np.ndarray:
     direct productivity gain, leaving only network amplification.
     """
     m = np.asarray(m, dtype=float)
+    return _leontief_demand(economy, m) - m
+
+
+def _leontief_demand(economy: Economy, m) -> np.ndarray:
+    """``L m``, with L the Leontief inverse, for final-demand shares m: one
+    finite entry per sector, summing to 1, or ValueError."""
+    m = np.asarray(m, dtype=float)
     if m.shape != (economy.n,):
         raise ValueError(f"m has shape {m.shape}, expected ({economy.n},)")
-    if abs(m.sum() - 1.0) > 1e-9:
+    if not np.isfinite(m).all():
+        raise ValueError("final-demand shares m must be finite")
+    if not abs(m.sum() - 1.0) <= 1e-9:
         raise ValueError("final-demand shares m must sum to 1")
-    return _solve(np.eye(economy.n) - economy.A, m) - m
+    return _solve(np.eye(economy.n) - economy.A, m)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .economy import Economy
-from .equilibrium import CONVERGED, _solve
+from .equilibrium import CONVERGED
 from .errors import (
     AllSamplesUnviable,
     DegenerateSample,
@@ -25,16 +25,24 @@ from .errors import (
     SingularSystem,
     TooFewSamples,
 )
-from .household import GENERAL_CES, HouseholdPrefs, real_gdp_growth_batch
+from .household import (
+    GENERAL_CES,
+    HouseholdPrefs,
+    _leontief_demand,
+    real_gdp_growth_batch,
+)
 
 QUANTILE_GRID = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99)
 
-#: Float workspace one block of draws may take: the general-CES sweep holds
-#: (rows, n + 1, n) arrays, which for 10k draws at n = 100 would be 800 MB.
+#: Float workspace one block of draws may take, counted as (n + 1) * n
+#: floats a draw: the cost kernel holds (n + 1, u, rows) powers of u <= n
+#: exponents, and the Leontief solve (rows, n, n) systems; the solver's
+#: (m + 1, n + 1, rows) iterates of a round stay within ROUND_FLOATS.  For
+#: 10k draws at n = 100 the count would be 800 MB.
 WORKSPACE_BYTES = 16 * 2**20
 
-#: Least work, in floats of that (rows, n + 1, n) workspace, that each block
-#: of a multi-block run must hold; a smaller run is solved inline as one
+#: Least work, in those (n + 1) * n floats a draw, that each block of a
+#: multi-block run must hold; a smaller run is solved inline as one
 #: block.  On a 2-core x86-64 VM, two threads on ten sectors broke even near
 #: 640 draws (35k floats a block) and saved 25% at 1280 draws.
 MIN_BLOCK_FLOATS = 2**16
@@ -159,11 +167,15 @@ def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
     ``default_rng`` seeds differently raises RuntimeError instead of
     giving another stream.  A draw whose exponential overflows to inf or
     underflows to 0 (a huge ``sigma`` or ``mean``) raises NonPositiveValue
-    naming the draw.
+    naming the draw, and a matrix too large to allocate raises MemoryError.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    shocks = np.empty((config.count, n))
+    try:
+        shocks = np.empty((config.count, n))
+    except ValueError as exc:  # a shape beyond numpy's dimension limit
+        raise MemoryError(f"Unable to allocate an array with shape "
+                          f"({config.count}, {n}): {exc}") from None
     for row, (state, inc) in zip(shocks, _pcg64_states(config.seed, config.count)):
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
@@ -274,9 +286,10 @@ def price_index_dispersion(economy: Economy, m, shocks) -> tuple[np.ndarray, np.
     Cobb-Douglas index routes the log shocks through the Leontief inverse
     and the simple economy uses the shares directly.  Used to exhibit the
     variance dilation caused by the granularity of the Leontief inverse.
+    ``m`` is checked as ``household.domar_weights`` checks it.
     """
     m = np.asarray(m, dtype=float)
-    Lm = _solve(np.eye(economy.n) - economy.A, m)
+    Lm = _leontief_demand(economy, m)
     logz = np.log(np.asarray(list(shocks), dtype=float))
     return -logz @ Lm, -logz @ m
 
@@ -290,6 +303,8 @@ def qq_points(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 3:
         raise TooFewSamples(f"need at least 3 samples, got {samples.size}")
+    if not np.isfinite(samples).all():
+        raise DegenerateSample("non-finite sample has no QQ representation")
     sd = float(np.std(samples))
     if sd == 0:
         raise DegenerateSample("constant sample has no QQ representation")

@@ -88,25 +88,20 @@ def hawkins_simon(B) -> bool:
     Computed from the pivots of an unpivoted LU factorization: the k-th
     leading minor is the product of the first k pivots, so the test fails
     at the first pivot that is not positive (including one that underflows
-    to zero).
+    to zero or is NaN).  A B that is negative or not finite raises
+    ValueError.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("B must be a square matrix")
-    if np.any(B < 0):
-        raise ValueError("B must be nonnegative")
+    if not np.all((B >= 0) & (B < np.inf)):
+        raise ValueError("B must be nonnegative and finite")
     M = np.eye(B.shape[0]) - B
-    return _pivots_all_positive(M)
-
-
-def _pivots_all_positive(M) -> bool:
-    M = M.copy()
-    n = M.shape[0]
-    for k in range(n):
+    for k in range(M.shape[0]):
         piv = M[k, k]
-        # Pivot k is the ratio of consecutive leading minors, so a zero or
-        # negative pivot means some leading minor is not positive.
-        if piv <= 0:
+        # Pivot k is the ratio of consecutive leading minors, so a pivot
+        # that is not positive means some leading minor is not positive.
+        if not piv > 0:
             return False
         M[k + 1 :, k] /= piv
         M[k + 1 :, k + 1 :] -= np.outer(M[k + 1 :, k], M[k, k + 1 :])

@@ -22,6 +22,16 @@ def random_economy(seed, n, gamma=None, a0_range=(0.2, 0.6)):
     return Economy(labels=labels, A=A, a0=a0, gamma=gamma)
 
 
+def two_sector(gamma):
+    """The two-sector economy of the CLI tests, at the given gamma."""
+    return Economy(
+        labels=("u", "v"),
+        A=[[0.2, 0.3], [0.3, 0.2]],
+        a0=[0.5, 0.5],
+        gamma=np.broadcast_to(gamma, (2,)).copy(),
+    )
+
+
 def random_shares(seed, n):
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0.5, 1.0, n)

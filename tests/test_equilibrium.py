@@ -16,16 +16,7 @@ from cesnet.equilibrium import (
 )
 from cesnet.errors import NonPositivePrice, NoPositiveSolution
 
-from conftest import random_economy
-
-
-def two_sector(gamma):
-    return Economy(
-        labels=("u", "v"),
-        A=[[0.2, 0.3], [0.3, 0.2]],
-        a0=[0.5, 0.5],
-        gamma=np.broadcast_to(gamma, (2,)).copy(),
-    )
+from conftest import random_economy, two_sector
 
 
 class TestUnitCost:
@@ -125,8 +116,9 @@ class TestFixedPoint:
             assert pi.min() >= np.finfo(float).tiny
 
     def test_rejects_bad_inputs(self, econ4):
-        with pytest.raises(ValueError):
-            solve_fixed_point(econ4, np.ones(4), tol=-1.0)
+        for tol in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_fixed_point(econ4, np.ones(4), tol=tol)
         with pytest.raises(ValueError):
             solve_fixed_point(econ4, np.ones(4), max_iter=0)
 

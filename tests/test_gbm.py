@@ -127,6 +127,9 @@ class TestShapiroWilk:
             shapiro_wilk(np.array([1.0, 2.0]))
         with pytest.raises(DegenerateSample):
             shapiro_wilk(np.ones(10))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateSample, match="non-finite"):
+                shapiro_wilk(np.array([1.0, 2.0, bad, 4.0, 5.0]))
 
 
 class TestSpotChecks:

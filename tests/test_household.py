@@ -246,6 +246,9 @@ class TestDomarWeights:
             domar_weights(econ4, np.array([0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(ValueError):
             domar_weights(econ4, np.array([1.0, 0.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                domar_weights(econ4, np.array([bad, 0.5, 0.25, 0.25]))
 
 
 class TestSpotChecks:

@@ -278,6 +278,15 @@ class TestTailAsymmetry:
         ln_cd, ln_se = price_index_dispersion(e, m, shocks)
         assert np.var(ln_cd) > np.var(ln_se)
 
+    @pytest.mark.parametrize("m", [
+        [1.0, 1.0, 1.0, 1.0], [1.0, 0.0], [np.nan, 0.5, 0.25, 0.25],
+        [np.inf, 0.5, 0.25, 0.25],
+    ])
+    def test_dispersion_rejects_bad_demand_shares(self, econ4, m):
+        shocks = np.ones((3, 4))
+        with pytest.raises(ValueError, match="m "):
+            price_index_dispersion(econ4, np.array(m), shocks)
+
 
 class TestQqPoints:
     def test_sorted_and_standardized(self):
@@ -305,6 +314,9 @@ class TestQqPoints:
             qq_points(np.array([1.0, 2.0]))
         with pytest.raises(DegenerateSample):
             qq_points(np.ones(10))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateSample, match="non-finite"):
+                qq_points(np.array([1.0, 2.0, bad, 4.0]))
 
 
 class TestHpFilter:

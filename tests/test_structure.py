@@ -3,14 +3,14 @@ import pytest
 
 from cesnet.economy import Economy
 from cesnet.equilibrium import solve_fixed_point, solve_leontief
-from cesnet.errors import NotAnEquilibrium
+from cesnet.errors import NonPositivePrice, NotAnEquilibrium
 from cesnet.structure import (
     equilibrium_structure,
     gradient_cost,
     hawkins_simon,
 )
 
-from conftest import random_economy
+from conftest import random_economy, two_sector
 
 
 def solved(economy, z):
@@ -50,6 +50,16 @@ class TestGradient:
         z = np.array([1.3, 1.0, 1.0, 1.0])
         with pytest.raises(NotAnEquilibrium):
             gradient_cost(econ4, np.ones(4), 1.0, z)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    def test_beyond_the_float_range_is_nonpositive_price(self, t):
+        # Steel's pi^(gamma - 1) = pi^-1.5 overflows at 1e-300 and its
+        # c^(1 - gamma) at 1e300; their product must not be returned.
+        e = two_sector([-0.5, 0.5])  # the CLI's sigma 1.5 and 0.5
+        z = np.array([1.1, 0.9])
+        pi = solved(e, z)
+        with pytest.raises(NonPositivePrice, match="cost gradient leaves"):
+            gradient_cost(e, t * pi, t, z)
 
 
 class TestStructure:
@@ -96,6 +106,18 @@ class TestStructure:
         s0 = grad0 * 1.0 / (z * pi)
         np.testing.assert_allclose(st.S.sum(axis=0) + s0, 1.0, atol=1e-9)
 
+    def test_does_not_depend_on_the_numeraire(self):
+        # B, b0 and S are homogeneous of degree zero in (pi, pi0).
+        e = two_sector([-0.5, 0.5])  # the CLI's sigma 1.5 and 0.5
+        z = np.array([1.1, 0.9])
+        pi = solved(e, z)
+        at_one = equilibrium_structure(e, pi, 1.0, z)
+        scaled = equilibrium_structure(e, 2.5 * pi, 2.5, z)
+        for name in ("B", "b0", "S"):
+            np.testing.assert_allclose(getattr(scaled, name),
+                                       getattr(at_one, name), rtol=1e-12)
+        assert scaled.viable is at_one.viable is True
+
     def test_converged_solution_is_viable(self, econ4):
         z = np.exp(0.1 * np.random.default_rng(25).standard_normal(4))
         pi = solved(econ4, z)
@@ -124,6 +146,14 @@ class TestHawkinsSimon:
             hawkins_simon(np.array([[-0.1]]))
         with pytest.raises(ValueError):
             hawkins_simon(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("B", [
+        [[np.nan]], [[0.1, np.inf], [0.0, 0.1]], [[0.1, 0.2], [np.nan, 0.1]],
+    ])
+    def test_rejects_non_finite(self, B):
+        # Each passed as viable when only a negative entry was rejected.
+        with pytest.raises(ValueError, match="finite"):
+            hawkins_simon(np.array(B))
 
     def test_single_entry_above_one(self):
         assert not hawkins_simon(np.array([[1.2]]))
