@@ -86,14 +86,10 @@ def _with_config(argv):
 
 
 def load_config(path) -> dict:
-    """Parse a flat ``key = value`` config file into a string dict."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        exc.reason += f" in {path}"
-        raise
+    """Parse a flat ``key = value`` config file into a string dict; its
+    lines may end in LF, CRLF or CR."""
     out = {}
-    for line in text.splitlines():
+    for line in econ._read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -442,7 +438,7 @@ def _load_panel(path):
                            for name, col in zip(header[2:], columns[2:]))
     # Zero shares have no log; NaN rows are masked by the constructor.
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(share > 0, np.log(np.where(share > 0, share, 1.0)), np.nan)
+        y = np.where(share > 0, np.log(share), np.nan)
         x = np.log(price)
     return em.PanelDataset(
         entity=np.asarray(entity),

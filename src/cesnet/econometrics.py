@@ -8,7 +8,7 @@ the Sargan overidentification statistic and the Davidson-MacKinnon
 endogeneity F.
 
 Each failure condition has one owner: ``PanelDataset`` rejects a repeated
-(entity, period) pair when it is built, ``_iv_design`` rejects an empty or
+(entity, period) pair when it is built, ``_design`` rejects an empty or
 unknown instrument list, ``_lstsq`` (the one least-squares solve) rejects a
 rank-deficient matrix, and ``_residual_dof`` rejects a fit without residual
 degrees of freedom.
@@ -166,10 +166,17 @@ def _entity_demeaner(entity):
     return demean, codes.size
 
 
-def _design(panel: PanelDataset, instrument_spec=()):
+def _design(panel: PanelDataset, instrument_spec=None):
     """Entity-demeaned response y, price x, time dummies D = [D_2..D_T],
-    regressors X = [x, D] and instruments Z = [named instruments, D].
+    regressors X = [x, D] and, given a nonempty ``instrument_spec`` of panel
+    instruments, Z = [named instruments, D] (else None).
     """
+    if instrument_spec is not None:
+        if not instrument_spec:
+            raise MalformedTable("IV estimation needs at least one instrument")
+        missing = [k for k in instrument_spec if k not in panel.instruments]
+        if missing:
+            raise UnknownInstrument(f"unknown instruments: {missing}")
     demean, n_entities = _entity_demeaner(panel.entity)
     periods, t = np.unique(panel.period, return_inverse=True)
     if periods.size < 2:
@@ -180,19 +187,9 @@ def _design(panel: PanelDataset, instrument_spec=()):
     y = demean(panel.y)
     x = demean(panel.x)
     X = np.column_stack([x, D])
-    Z = np.column_stack([*(demean(panel.instruments[k]) for k in instrument_spec), D])
+    Z = None if instrument_spec is None else np.column_stack(
+        [*(demean(panel.instruments[k]) for k in instrument_spec), D])
     return y, x, X, D, Z, periods, n_entities
-
-
-def _iv_design(panel: PanelDataset, instrument_spec):
-    """``_design`` with instruments, after checking that the list is not
-    empty and names only panel instruments."""
-    if not instrument_spec:
-        raise MalformedTable("IV estimation needs at least one instrument")
-    missing = [k for k in instrument_spec if k not in panel.instruments]
-    if missing:
-        raise UnknownInstrument(f"unknown instruments: {missing}")
-    return _design(panel, instrument_spec)
 
 
 def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
@@ -202,8 +199,7 @@ def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
     ``nobs - n_entities - k``.
     """
     design = _design(panel)
-    _, _, X, *_ = design
-    beta, cov = _ols_fit(design, X, "FE design matrix")
+    beta, cov, _ = _ols_fit(design, design[2], "FE design matrix")
     return _estimate(parameter, LS_FE, panel, design, beta, cov)
 
 
@@ -235,14 +231,9 @@ def fe_2sls(
     Diagnostics (first-stage F, Sargan when overidentified, Davidson-
     MacKinnon endogeneity F) are attached to the estimate.
     """
-    design = _iv_design(panel, instrument_spec)
-    y, _, X, *_ = design
-    beta, XtPX_inv = _2sls_fit(design)
-    resid = y - X @ beta
-    s2 = float(resid @ resid) / _residual_dof(design, X.shape[1])
-    cov = s2 * XtPX_inv
-
-    diag = _iv_diagnostics(design, instrument_spec, beta)
+    design = _design(panel, instrument_spec)
+    beta, cov, resid = _2sls_fit(design)
+    diag = _iv_diagnostics(design, instrument_spec, resid)
     if diag.first_stage_f < WEAK_INSTRUMENT_F:
         warnings.warn(
             f"first-stage F = {diag.first_stage_f:.2f} below "
@@ -254,8 +245,8 @@ def fe_2sls(
 
 
 def _2sls_fit(design):
-    """The 2SLS coefficients of y on X = [x, D] with instruments Z, and
-    ``(X' P_Z X)^{-1}``."""
+    """The 2SLS fit of y on X = [x, D] with instruments Z, as ``_fit``
+    returns it, with the bread ``(X' P_Z X)^{-1}``."""
     y, _, X, _, Z, _, _ = design
     # The projection's solve checks Z's rank; X enters no least-squares
     # solve, so its rank is checked here.
@@ -266,7 +257,7 @@ def _2sls_fit(design):
         XtPX_inv = np.linalg.inv(X.T @ Xhat)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"projected design is singular: {exc}") from exc
-    return XtPX_inv @ (Xhat.T @ y), XtPX_inv
+    return _fit(design, X, XtPX_inv @ (Xhat.T @ y), XtPX_inv)
 
 
 def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnostics:
@@ -281,29 +272,26 @@ def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnos
     The residuals are those of the fit of ``fe_2sls``, so the result equals
     its ``diagnostics``.
     """
-    design = _iv_design(panel, instrument_spec)
-    return _iv_diagnostics(design, instrument_spec, _2sls_fit(design)[0])
+    design = _design(panel, instrument_spec)
+    return _iv_diagnostics(design, instrument_spec, _2sls_fit(design)[2])
 
 
-def _iv_diagnostics(design, instrument_spec, beta_2sls):
-    y, x, X, D, Z, _, n_entities = design
-    n = y.size
+def _iv_diagnostics(design, instrument_spec, u):
+    """The diagnostics of the 2SLS fit of ``design`` with residuals u."""
+    _, x, X, D, Z, _, n_entities = design
     L = len(instrument_spec)
-    V = Z[:, :L]
+
+    def partial_dummies(v):
+        return v - D @ _lstsq(D, v, "time dummy matrix")
 
     # First-stage F: partial the dummies out of x and the excluded
     # instruments, then test the joint significance of the instruments.
-    x_t = x - D @ _lstsq(D, x, "time dummy matrix")
-    V_t = np.column_stack(
-        [col - D @ _lstsq(D, col, "time dummy matrix") for col in V.T]
-    )
+    x_t = partial_dummies(x)
+    V_t = np.column_stack([partial_dummies(col) for col in Z[:, :L].T])
     fitted = V_t @ _lstsq(V_t, x_t, "partialled instrument matrix")
     rss = float(((x_t - fitted) ** 2).sum())
     ess = float((fitted**2).sum())
     first_stage_f = (ess / L) / (rss / _residual_dof(design, D.shape[1] + L))
-
-    # 2SLS residuals for the Sargan and endogeneity statistics.
-    u = y - X @ beta_2sls
 
     if L > 1:
         u_fit = Z @ _lstsq(Z, u, "instrument matrix")
@@ -311,7 +299,7 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         # Entity demeaning removes one dimension per entity, so the
         # effective sample size of the N R^2 statistic is n - n_entities;
         # using raw n makes the test over-reject in short panels.
-        sargan = (n - n_entities) * r2
+        sargan = (u.size - n_entities) * r2
         # chdtrc is scipy.stats.chi2.sf for a statistic >= 0 and dof >= 1:
         # here n - n_entities >= 1, R^2 >= 0 and L - 1 >= 1.
         sargan_p = float(special.chdtrc(L - 1, sargan))
@@ -329,7 +317,7 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         endogeneity_p = 1.0
     else:
         X_aug = np.column_stack([X, v_hat])
-        beta_aug, cov_aug = _ols_fit(design, X_aug, "augmented design matrix")
+        beta_aug, cov_aug, _ = _ols_fit(design, X_aug, "augmented design matrix")
         t_v = beta_aug[-1] / np.sqrt(cov_aug[-1, -1])
         endogeneity_f = float(t_v**2)
         # fdtrc is scipy.stats.f.sf for F >= 0 and dof >= 1: here F = t^2
@@ -339,8 +327,8 @@ def _iv_diagnostics(design, instrument_spec, beta_2sls):
         )
 
     return IvDiagnostics(
-        first_stage_f=float(first_stage_f),
-        sargan=None if sargan is None else float(sargan),
+        first_stage_f=first_stage_f,
+        sargan=sargan,
         sargan_p=sargan_p,
         endogeneity_f=endogeneity_f,
         endogeneity_p=endogeneity_p,
@@ -435,11 +423,16 @@ def _residual_dof(design, k):
 
 
 def _ols_fit(design, X, what):
-    """OLS of the response of ``design`` on X with the fixed-effects
-    residual degrees of freedom; the coefficients and their covariance."""
+    """OLS of the response of ``design`` on X, as ``_fit`` returns it, with
+    the bread ``(X' X)^{-1}``."""
+    return _fit(design, X, _lstsq(X, design[0], what), np.linalg.inv(X.T @ X))
+
+
+def _fit(design, X, beta, bread):
+    """``(beta, s2 * bread, resid)`` for coefficients ``beta`` of the
+    response of ``design`` on X: the residuals and their variance s2 with
+    the fixed-effects residual degrees of freedom."""
     y = design[0]
-    beta = _lstsq(X, y, what)
     resid = y - X @ beta
     s2 = float(resid @ resid) / _residual_dof(design, X.shape[1])
-    cov = s2 * np.linalg.inv(X.T @ X)
-    return beta, cov
+    return beta, s2 * bread, resid

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 from scipy import special
 
-from .economy import Economy
+from .economy import Economy, check_shock_matrix
 from .equilibrium import CONVERGED
 from .errors import (
     AllSamplesUnviable,
@@ -286,11 +286,13 @@ def price_index_dispersion(economy: Economy, m, shocks) -> tuple[np.ndarray, np.
     Cobb-Douglas index routes the log shocks through the Leontief inverse
     and the simple economy uses the shares directly.  Used to exhibit the
     variance dilation caused by the granularity of the Leontief inverse.
-    ``m`` is checked as ``household.domar_weights`` checks it.
+    ``m`` is checked as ``household.domar_weights`` checks it, and the
+    shock rows, an iterable of length-n vectors, as ``check_shock_matrix``
+    checks them.
     """
     m = np.asarray(m, dtype=float)
     Lm = _leontief_demand(economy, m)
-    logz = np.log(np.asarray(list(shocks), dtype=float))
+    logz = np.log(check_shock_matrix(list(shocks), economy.n))
     return -logz @ Lm, -logz @ m
 
 

@@ -906,6 +906,13 @@ class TestConfig:
         cfg.write_text("max-iter = 500\n\n# note\nsigma=0.3\n")
         assert load_config(cfg) == {"max_iter": "500", "sigma": "0.3"}
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_load_config_reads_crlf_and_cr_line_ends(self, tmp_path, end):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_bytes(end.join(["max-iter = 500", "", "# note", "sigma=0.3", ""])
+                        .encode())
+        assert load_config(cfg) == {"max_iter": "500", "sigma": "0.3"}
+
 
 class TestExperiment:
     @pytest.mark.usefixtures("force_pool")

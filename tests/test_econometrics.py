@@ -247,6 +247,65 @@ class TestFe2sls:
             fe_2sls(p, ["iv1"])
 
 
+def lsdv(p, spec):
+    """The explicit dummy-variable design of panel p: regressors
+    [x, time dummies, entity dummies] and instruments [spec, time dummies,
+    entity dummies], the time dummies being D_2..D_T."""
+    E = np.column_stack([(p.entity == e).astype(float) for e in p.entities])
+    D = np.column_stack([(p.period == t).astype(float) for t in p.periods[1:]])
+    return (np.column_stack([p.x, D, E]),
+            np.column_stack([*(p.instruments[k] for k in spec), D, E]))
+
+
+def ls_fit(M, v):
+    """Least-squares coefficients and residuals of v on M."""
+    coef = np.linalg.lstsq(M, v, rcond=None)[0]
+    return coef, v - M @ coef
+
+
+class TestFe2slsDummyVariableOracle:
+    # Oracles: 2SLS and OLS with explicit entity and time dummies, whose
+    # classical covariances use the residual dof nobs - columns.
+    SPECS = [["iv1"], ["iv1", "iv2"], ["iv1", "iv2", "iv3"]]
+
+    def panel(self, seed):
+        return make_panel(n_entities=12, n_periods=5, gamma=0.8, noise=0.4,
+                          endogeneity=1.0, seed=seed,
+                          instruments=("iv1", "iv2", "iv3"))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_coefficients_and_standard_error(self, spec):
+        p = self.panel(30 + len(spec))
+        est = fe_2sls(p, spec)
+        W, Z = lsdv(p, spec)
+        What = Z @ ls_fit(Z, W)[0]
+        bread = np.linalg.inv(W.T @ What)
+        beta = bread @ (What.T @ p.y)
+        resid = p.y - W @ beta
+        s2 = resid @ resid / (p.nobs - W.shape[1])
+        assert est.coef == pytest.approx(beta[0], abs=1e-9)
+        assert est.se == pytest.approx(np.sqrt(s2 * bread[0, 0]), abs=1e-9)
+        np.testing.assert_allclose(est.time_dummies, beta[1 : p.periods.size],
+                                   atol=1e-9)
+        # Sargan reads the 2SLS residuals: N R^2 on the instruments, with
+        # one observation spent on each entity mean.
+        if len(spec) > 1:
+            u_fit = resid - ls_fit(Z, resid)[1]
+            sargan = (p.nobs - p.entities.size) * (u_fit @ u_fit) / (resid @ resid)
+            assert est.diagnostics.sargan == pytest.approx(sargan, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_endogeneity_f_is_t_squared_of_first_stage_residual(self, spec):
+        p = self.panel(40 + len(spec))
+        d = fe_2sls(p, spec).diagnostics
+        W, Z = lsdv(p, spec)
+        aug = np.column_stack([W, ls_fit(Z, p.x)[1]])
+        coef, resid = ls_fit(aug, p.y)
+        s2 = resid @ resid / (p.nobs - aug.shape[1])
+        t = coef[-1] / np.sqrt(s2 * np.linalg.inv(aug.T @ aug)[-1, -1])
+        assert d.endogeneity_f == pytest.approx(t**2, rel=1e-9)
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("seed", range(6))
     def test_equal_to_the_diagnostics_of_fe_2sls(self, seed):

@@ -13,6 +13,7 @@ from cesnet import montecarlo
 from cesnet.economy import check_shock
 from cesnet.errors import (
     DegenerateSample,
+    MalformedTable,
     NonPositiveValue,
     SeriesTooShort,
     SingularSystem,
@@ -39,7 +40,7 @@ from cesnet.montecarlo import (
     summarize_samples,
 )
 
-from conftest import random_economy, random_shares
+from conftest import random_economy, random_shares, two_sector
 
 
 class TestShockStream:
@@ -286,6 +287,17 @@ class TestTailAsymmetry:
         shocks = np.ones((3, 4))
         with pytest.raises(ValueError, match="m "):
             price_index_dispersion(econ4, np.array(m), shocks)
+
+    @pytest.mark.parametrize("row, error", [
+        ([0.0, 1.0], NonPositiveValue), ([-1.0, 1.0], NonPositiveValue),
+        ([np.nan, 1.0], NonPositiveValue), ([1.0, 1.0, 1.0], MalformedTable),
+    ])
+    def test_dispersion_rejects_bad_shocks(self, row, error):
+        # A zero, negative or NaN shock has no finite log; an iterator of
+        # rows is read as sample_shocks yields them.
+        shocks = iter([np.ones(len(row)), np.array(row)])
+        with pytest.raises(error):
+            price_index_dispersion(two_sector(0.0), [0.4, 0.6], shocks)
 
 
 class TestQqPoints:
