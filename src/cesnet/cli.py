@@ -7,7 +7,8 @@ is a flat ``key = value`` text file whose keys match the long option names
 ``--seed`` with a fixed default, so published runs are reproducible.
 
 Exit codes: 0 on success, 1 on domain errors (reported as a JSON object on
-standard error), 2 on usage errors.
+standard error), 2 on usage errors.  A weak first stage in ``estimate`` is
+reported as a JSON object on standard error too, and exits 0.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,9 @@ from . import equilibrium as eq
 from . import gbm as gbm_mod
 from . import montecarlo as mc
 from . import structure as struct_mod
-from .errors import CesnetError, MalformedTable, NonPositiveValue, NotConverged
-from .household import METHODS, HouseholdPrefs, Unviable, real_gdp_growth
+from .errors import (CesnetError, MalformedTable, NonPositiveValue, NotConverged,
+                     WeakInstrumentWarning)
+from .household import METHODS, HouseholdPrefs, real_gdp_growth
 
 DEFAULT_SEED = 20110101
 
@@ -40,7 +43,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser()[0].parse_args(_with_config(argv))
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+            return args.func(args)
     except SystemExit as exc:  # argparse: usage error, or --help
         return int(exc.code or 0)
     except (CesnetError, OSError, UnicodeDecodeError, MemoryError) as exc:
@@ -50,13 +55,22 @@ def main(argv=None) -> int:
         # allocate, such as the shocks of a huge --count, reported by
         # that name rather than numpy's private subclass.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        json.dump(
-            {"error": name, "message": str(exc)},
-            sys.stderr,
-            sort_keys=True,
-        )
-        sys.stderr.write("\n")
+        _stderr_line(error=name, message=str(exc))
         return 1
+
+
+def _show_warning(show, message, category, *args, **kwargs):
+    """Write a weak-instrument warning that the filters let through as one
+    JSON line on standard error, and hand any other warning to ``show``."""
+    if issubclass(category, WeakInstrumentWarning):
+        _stderr_line(message=str(message), warning=category.__name__)
+    else:
+        show(message, category, *args, **kwargs)
+
+
+def _stderr_line(**fields):
+    json.dump(fields, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
 
 
 # --- configuration ----------------------------------------------------------
@@ -309,8 +323,6 @@ def _cmd_aggregate(args) -> int:
     prefs = _load_prefs(args, economy)
     z = _load_shocks(args, economy)
     growth = real_gdp_growth(economy, prefs, z, method=args.method)
-    if isinstance(growth, Unviable):
-        raise growth
     print(json.dumps({"ln_h": growth, "method": args.method}, sort_keys=True))
     return 0
 
@@ -322,28 +334,20 @@ def _cmd_simulate(args) -> int:
     summary = mc.simulate_distribution(
         economy, prefs, config, method=args.method, workers=args.workers
     )
-    _write_summary_files(_outdir(args), args.method, summary, {})
+    _write_summary_files(_outdir(args), summary)
     return 0
 
 
-def _write_summary_files(out, method, summary, qq_cells):
-    """Write the summary, sample and QQ files of one method.
-
-    The QQ ``theoretical`` column depends only on the number of viable
-    draws, so its formatted cells are kept in ``qq_cells`` by that number
-    and shared by methods with equal counts.
-    """
-    tag = method.replace("-", "_")
+def _write_summary_files(out, summary):
+    """Write the summary, sample and QQ files of the summary's method."""
+    tag = summary.method.replace("-", "_")
     _write_json(out / f"summary_{tag}.json", summary.to_dict())
     econ.write_csv(out / f"samples_{tag}.csv", ["ln_h"], summary.samples)
     # QQ points need at least 3 distinct draws; tiny runs still get a
     # valid summary and sample file.
     if summary.samples.size >= 3 and np.ptp(summary.samples) > 0:
-        theoretical, sample = mc.qq_points(summary.samples).T
-        if theoretical.size not in qq_cells:
-            qq_cells[theoretical.size] = list(map(repr, theoretical.tolist()))
         econ.write_csv(out / f"qq_{tag}.csv", ["theoretical", "sample"],
-                       qq_cells[theoretical.size], sample)
+                       *mc.qq_points(summary.samples).T)
 
 
 def _cmd_qq(args) -> int:
@@ -459,7 +463,7 @@ def _cmd_experiment(args) -> int:
 
     report = {"seed": args.seed, "count": args.count, "sigma": args.sigma,
               "methods": {}}
-    qq_cells, errors = {}, []
+    errors = []
     for method in METHODS:
         entry = {"shock_stream_sha256": shock_hash}
         try:
@@ -472,7 +476,7 @@ def _cmd_experiment(args) -> int:
             entry["message"] = str(exc)
         else:
             entry.update(summary.to_dict())
-            _write_summary_files(out, method, summary, qq_cells)
+            _write_summary_files(out, summary)
         report["methods"][method] = entry
     means = {m: e["mean"] for m, e in report["methods"].items() if "mean" in e}
     report["mean_ordering"] = sorted(means, key=means.get)

@@ -90,7 +90,7 @@ def shapiro_wilk(series) -> tuple[float, float]:
         a[:] = (-math.sqrt(0.5), 0.0, math.sqrt(0.5))
     else:
         rsn = 1.0 / math.sqrt(nn)
-        a_n = _poly(
+        a_n = np.polyval(
             (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0), rsn
         ) + m[-1] / ssumm2
         if nn <= 5:
@@ -98,7 +98,7 @@ def shapiro_wilk(series) -> tuple[float, float]:
             fac = math.sqrt((summ2 - 2 * m[-1] ** 2) / (1 - 2 * a_n**2))
             a[1:i1] = m[1:i1] / fac
         else:
-            a_n1 = _poly(
+            a_n1 = np.polyval(
                 (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0), rsn
             ) + m[-2] / ssumm2
             i1 = nn - 2
@@ -122,19 +122,12 @@ def shapiro_wilk(series) -> tuple[float, float]:
     if nn <= 11:
         g = -2.273 + 0.459 * nn
         y = -math.log(g - math.log1p(-W))
-        mu = _poly((-0.0006714, 0.025054, -0.39978, 0.5440), nn)
-        sigma = math.exp(_poly((-0.0020322, 0.062767, -0.77857, 1.3822), nn))
+        mu = np.polyval((-0.0006714, 0.025054, -0.39978, 0.5440), nn)
+        sigma = math.exp(np.polyval((-0.0020322, 0.062767, -0.77857, 1.3822), nn))
     else:
         ln_n = math.log(nn)
         y = math.log1p(-W)
-        mu = _poly((0.0038915, -0.083751, -0.31082, -1.5861), ln_n)
-        sigma = math.exp(_poly((0.0030302, -0.082676, -0.4803), ln_n))
+        mu = np.polyval((0.0038915, -0.083751, -0.31082, -1.5861), ln_n)
+        sigma = math.exp(np.polyval((0.0030302, -0.082676, -0.4803), ln_n))
     # ndtr(-z) is scipy.stats.norm.sf(z) for every z.
     return W, float(special.ndtr(-((y - mu) / sigma)))
-
-
-def _poly(coeffs_high_to_low, v):
-    out = 0.0
-    for c in coeffs_high_to_low:
-        out = out * v + c
-    return out

@@ -67,18 +67,16 @@ class HouseholdPrefs:
         return self.mu.size
 
 
-@dataclass(frozen=True)
 class Unviable(CesnetError):
-    """Value-level outcome: no positive equilibrium was found.
+    """No positive equilibrium was found for a draw.
 
     ``status`` is the solver's status for the draw (see ``equilibrium``).
-    Returned, not raised, by ``real_gdp_growth`` so that callers can count
-    and skip such samples; a caller that cannot go on raises it.
     """
 
-    method: str
-    z: np.ndarray
-    status: str
+    def __init__(self, method: str, status: str):
+        super().__init__(method, status)
+        self.method = method
+        self.status = status
 
     def __str__(self):
         if self.status == MAX_ITERATIONS:
@@ -127,19 +125,20 @@ def real_gdp_growth(
     method: str = GENERAL_CES,
     max_iter: int = 10000,
 ):
-    """Log real GDP growth under shock z, or an Unviable marker.
+    """Log real GDP growth under shock z.
 
     method selects how equilibrium prices are obtained: "general-ces" runs
     the recursive solver on the economy's own elasticities, "leontief" and
     "cobb-douglas" use their closed forms.  A solver that fails to converge
     (diverged or out of iterations) and a closed form without a positive
-    solution both yield ``Unviable``, carrying the row's status.
+    solution both raise ``Unviable``, carrying the row's status.
     """
     z = check_shock(z, economy.n)
     ln_h, status = real_gdp_growth_batch(
         economy, prefs, z[None, :], method, max_iter=max_iter)
-    ok = status[0] == CONVERGED
-    return float(ln_h[0]) if ok else Unviable(method=method, z=z, status=status[0])
+    if status[0] != CONVERGED:
+        raise Unviable(method, status[0])
+    return float(ln_h[0])
 
 
 def real_gdp_growth_batch(

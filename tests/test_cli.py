@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cesnet import econometrics as em
 from cesnet.cli import load_config, main
 from cesnet.economy import _loadtxt_lines, write_csv
 from cesnet.household import METHODS, HouseholdPrefs, real_gdp_growth
@@ -618,7 +620,7 @@ class TestGbm:
 
 
 class TestEstimate:
-    def write_panel(self, tmp_path, gamma=0.5, noise=0.1, seed=0):
+    def write_panel(self, tmp_path, gamma=0.5, noise=0.1, seed=0, slope=0.8):
         rng = np.random.default_rng(seed)
         N, T = 25, 6
         rows = [["entity", "period", "share", "price", "inst_w"]]
@@ -627,7 +629,7 @@ class TestEstimate:
         for i in range(N):
             for t in range(T):
                 w = rng.normal(0, 1)
-                lnp = 0.8 * w + rng.normal(0, 0.2)
+                lnp = slope * w + rng.normal(0, 0.2)
                 lns = alpha[i] + delta[t] + gamma * lnp + rng.normal(0, noise)
                 rows.append([
                     f"e{i}", t + 1, repr(float(np.exp(lns))),
@@ -659,6 +661,29 @@ class TestEstimate:
         assert payload["diagnostics"]["instruments"] == ["w"]
         assert payload["diagnostics"]["first_stage_f"] > 10
         assert payload["coef"] == pytest.approx(0.5, abs=6 * payload["se"])
+
+    def test_weak_instrument_is_one_json_warning(self, tmp_path, capsys):
+        # The instrument does not move the price.
+        panel = self.write_panel(tmp_path, slope=0.0)
+        rc = main(["estimate", "--panel", panel, "--method", "iv", "--iv", "w"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        f = json.loads(captured.out)["diagnostics"]["first_stage_f"]
+        assert f < 10
+        assert captured.err == (
+            f'{{"message": "first-stage F = {f:.2f} below 10", '
+            '"warning": "WeakInstrumentWarning"}\n')
+
+    def test_other_warnings_are_shown_as_before(self, tmp_path, monkeypatch):
+        fe_ols = em.fe_ols
+
+        def warn_then_fit(*args, **kwargs):
+            warnings.warn("a library warning", UserWarning)
+            return fe_ols(*args, **kwargs)
+
+        monkeypatch.setattr(em, "fe_ols", warn_then_fit)
+        with pytest.warns(UserWarning, match="a library warning"):
+            assert main(["estimate", "--panel", self.write_panel(tmp_path)]) == 0
 
     def test_lagged_instrument_token(self, tmp_path):
         panel = self.write_panel(tmp_path, gamma=0.5, noise=0.2, seed=4)

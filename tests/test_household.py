@@ -6,6 +6,7 @@ from cesnet.equilibrium import (
     DIVERGED,
     MAX_ITERATIONS,
     NO_POSITIVE_SOLUTION,
+    SINGULAR,
     solve_fixed_point,
     solve_fixed_point_batch,
 )
@@ -27,6 +28,17 @@ from cesnet.household import (
 from cesnet.montecarlo import distribution_from_shocks
 
 from conftest import random_economy, random_shares
+
+# A draw that fails with each status: economy, shock, method and max_iter.
+UNVIABLE_DRAWS = {
+    NO_POSITIVE_SOLUTION: (random_economy(5, 2, gamma=1.0), [0.01, 0.01],
+                           LEONTIEF, 10000),
+    DIVERGED: (random_economy(5, 2, gamma=1.0), [0.01, 0.01], GENERAL_CES, 10000),
+    MAX_ITERATIONS: (random_economy(0, 2), [1.1, 0.9], GENERAL_CES, 2),
+    # 0.5 - 0.5 = 0 is singular.
+    SINGULAR: (Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0]), [0.5],
+               LEONTIEF, 10000),
+}
 
 
 class TestPriceIndex:
@@ -119,24 +131,27 @@ class TestRealGdpGrowth:
             real_gdp_growth(e_cd, prefs, z, COBB_DOUGLAS), abs=1e-8
         )
 
-    def test_unviable_returned_not_raised(self):
-        e = random_economy(5, 2, gamma=1.0)
-        prefs = HouseholdPrefs(mu=[0.5, 0.5])
-        out = real_gdp_growth(e, prefs, np.array([0.01, 0.01]), LEONTIEF)
-        assert isinstance(out, Unviable)
-        assert out.method == LEONTIEF and out.status == NO_POSITIVE_SOLUTION
-        assert str(out) == "no positive equilibrium under method 'leontief'"
-        out = real_gdp_growth(e, prefs, np.array([0.01, 0.01]), GENERAL_CES)
-        assert isinstance(out, Unviable) and out.status == DIVERGED
+    @pytest.mark.parametrize("status", UNVIABLE_DRAWS)
+    def test_unviable_is_raised(self, status):
+        e, z, method, max_iter = UNVIABLE_DRAWS[status]
+        prefs = HouseholdPrefs(mu=np.full(e.n, 1.0 / e.n))
+        with pytest.raises(Unviable) as info:
+            real_gdp_growth(e, prefs, np.array(z), method, max_iter=max_iter)
+        assert (info.value.method, info.value.status) == (method, status)
+        assert str(info.value) == (
+            f"solver ran out of iterations under method {method!r}"
+            if status == MAX_ITERATIONS
+            else f"no positive equilibrium under method {method!r}")
 
     def test_out_of_iterations_is_not_called_no_equilibrium(self, econ4):
         # A draw that merely needs more sweeps than allowed says so.
         prefs = HouseholdPrefs(mu=random_shares(0, 4))
         z = np.exp(0.1 * np.random.default_rng(3).standard_normal(4))
         assert isinstance(real_gdp_growth(econ4, prefs, z), float)
-        out = real_gdp_growth(econ4, prefs, z, GENERAL_CES, max_iter=2)
-        assert isinstance(out, Unviable) and out.status == MAX_ITERATIONS
-        assert str(out) == (
+        with pytest.raises(Unviable) as info:
+            real_gdp_growth(econ4, prefs, z, GENERAL_CES, max_iter=2)
+        assert info.value.status == MAX_ITERATIONS
+        assert str(info.value) == (
             "solver ran out of iterations under method 'general-ces'")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -147,7 +162,9 @@ class TestRealGdpGrowth:
         prefs = HouseholdPrefs(mu=random_shares(1, 4))
         Z = np.array([[1e-300, 1.0, 1.0, 1.0]])
         assert list(solve_fixed_point_batch(e, Z).status) == [DIVERGED]
-        assert real_gdp_growth(e, prefs, Z[0]).status == DIVERGED
+        with pytest.raises(Unviable) as info:
+            real_gdp_growth(e, prefs, Z[0])
+        assert info.value.status == DIVERGED
         with pytest.raises(NonPositivePrice, match="left the float range"):
             real_gdp_growth_batch(e, prefs, Z, COBB_DOUGLAS)
 
@@ -170,8 +187,9 @@ class TestRealGdpGrowth:
         mu = [0.26326847, 0.29992489, 0.43680664]
         assert list(solve_fixed_point_batch(e, z[None, :]).status) == [DIVERGED]
         for kappa in (0.0, 0.5):
-            out = real_gdp_growth(e, HouseholdPrefs(mu=mu, kappa=kappa), z)
-            assert isinstance(out, Unviable) and out.status == DIVERGED
+            with pytest.raises(Unviable) as info:
+                real_gdp_growth(e, HouseholdPrefs(mu=mu, kappa=kappa), z)
+            assert info.value.status == DIVERGED
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kappa", [1e308, -1e308])
