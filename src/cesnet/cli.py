@@ -397,9 +397,14 @@ def _cmd_gbm(args) -> int:
 def _cmd_estimate(args) -> int:
     panel = _load_panel(args.panel)
     tokens = [t.strip() for t in args.iv.split(",") if t.strip()]
-    resolved = []
+    loaded, resolved = set(panel.instruments), []
     for token in tokens:
         name, panel = em.apply_instrument_transform(panel, token)
+        # The library hands back an existing column of the transform's name,
+        # which for a column of the file is not the transform.
+        if name != token and name in loaded:
+            raise MalformedTable(
+                f"transform {token!r} names {name!r}, a column of the panel")
         resolved.append(name)
     if args.method == "iv":
         estimate = em.fe_2sls(panel, resolved, parameter=args.parameter)
@@ -436,6 +441,11 @@ def _load_panel(path):
             "panel header must start with entity,period,share,price"
         )
     inst_names = [c[5:] if c.startswith("inst_") else c for c in header[4:]]
+    for j, name in enumerate(inst_names):
+        if name in inst_names[:j]:
+            raise MalformedTable(
+                f"panel columns {header[4 + inst_names.index(name)]!r} and "
+                f"{header[4 + j]!r} both name instrument {name!r}")
     entity = list(map(str.strip, columns[0]))
     period = econ.parse_column(columns[1], int, "period", "panel", 2)
     share, price, *inst = (econ.parse_column(col, float, name, "panel", 2)

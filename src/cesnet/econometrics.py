@@ -392,15 +392,8 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
         out[order[:-1][same]] = hi
     else:  # first difference
         out[order[1:][same]] = hi - lo
-    instruments = dict(panel.instruments)
-    instruments[col_name] = out
-    return col_name, PanelDataset(
-        entity=panel.entity,
-        period=panel.period,
-        y=panel.y,
-        x=panel.x,
-        instruments=instruments,
-    )
+    return col_name, replace(
+        panel, instruments={**panel.instruments, col_name: out})
 
 
 def _lstsq(M, v, what):

@@ -346,10 +346,12 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float):
     """Uniform-elasticity prices for every row of a (K, n) shock matrix.
 
     One stacked solve of ``q (diag(z)^gamma - A) = a0`` for
-    q = pi^gamma, then the 1/gamma power.  Returns ``(pi, status)``: the
-    prices and each row's status, "converged" for a positive q,
-    "singular" for a singular matrix and "no_positive_solution" otherwise;
-    prices of rows that did not converge are meaningless.
+    q = pi^gamma, then the 1/gamma power; if some row's matrix is
+    singular, a second stacked solve takes the others.  Returns
+    ``(pi, status)``: the prices and each row's status, "converged" for a
+    positive q, "singular" for a singular matrix and
+    "no_positive_solution" otherwise; prices of rows that did not converge
+    are meaningless.
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use solve_cobb_douglas")
@@ -357,8 +359,17 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float):
     K, n = Z.shape
     M = np.multiply((Z**gamma)[:, :, None], np.eye(n))
     M -= economy.A
-    rhs = np.broadcast_to(economy.a0, (K, n))
-    q, solved = _solve_rows(np.swapaxes(M, 1, 2), rhs)
+    M = np.swapaxes(M, 1, 2)
+    rhs = np.broadcast_to(economy.a0[:, None], (K, n, 1))
+    solved = np.ones(K, bool)
+    try:
+        q = _solve(M, rhs)[..., 0]
+    except SingularSystem:
+        # The sign of the determinant comes from the same LU factorization
+        # as the solve: zero exactly where the solve meets a zero pivot.
+        solved = np.linalg.slogdet(M)[0] != 0
+        q = np.zeros((K, n))
+        q[solved] = _solve(M[solved], rhs[solved])[..., 0]
     status = np.full(K, CONVERGED, dtype=object)
     status[~np.all(np.isfinite(q) & (q > 0), axis=1)] = NO_POSITIVE_SOLUTION
     status[~solved] = SINGULAR
@@ -370,27 +381,6 @@ def solve_leontief(economy: Economy, z) -> np.ndarray:
     """Closed-form Leontief prices, ``pi (diag(z) - A) = a0``: the gamma = 1
     case of :func:`solve_uniform_ces`, raising what it raises."""
     return solve_uniform_ces(economy, z, 1.0)
-
-
-def _solve_rows(M, rhs):
-    """Solve ``M[k] x_k = rhs[k]`` for every k; return x and the solved mask.
-
-    One stacked LAPACK call; if it meets a singular matrix, the rows are
-    solved one by one so that only the singular ones fail.
-    """
-    try:
-        return _solve(M, rhs[..., None])[..., 0], np.ones(len(rhs), bool)
-    except SingularSystem:
-        pass
-    x = np.zeros(rhs.shape)
-    solved = np.zeros(len(rhs), bool)
-    for k in range(len(rhs)):
-        try:
-            x[k] = _solve(M[k : k + 1], rhs[k : k + 1, :, None])[0, :, 0]
-        except SingularSystem:
-            continue
-        solved[k] = True
-    return x, solved
 
 
 def _solve(M, rhs):

@@ -85,24 +85,21 @@ def equilibrium_structure(economy: Economy, pi, pi0, z) -> EquilibriumStructure:
 def hawkins_simon(B) -> bool:
     """True iff every leading principal minor of ``I - B`` is positive.
 
-    Computed from the pivots of an unpivoted LU factorization: the k-th
-    leading minor is the product of the first k pivots, so the test fails
-    at the first pivot that is not positive (including one that underflows
-    to zero or is NaN).  A B that is negative or not finite raises
-    ValueError.
+    For a nonnegative B, ``I - B`` is a Z-matrix, whose leading principal
+    minors are all positive iff it is a nonsingular M-matrix, iff
+    ``(I - B) x = 1`` has a solution with every ``x_i > 0`` (Berman and
+    Plemmons, *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
+    So the test is one solve: a singular ``I - B``, or a solution with an
+    entry that is not positive (including NaN), is not viable.  A B that is
+    negative or not finite raises ValueError.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("B must be a square matrix")
     if not np.all((B >= 0) & (B < np.inf)):
         raise ValueError("B must be nonnegative and finite")
-    M = np.eye(B.shape[0]) - B
-    for k in range(M.shape[0]):
-        piv = M[k, k]
-        # Pivot k is the ratio of consecutive leading minors, so a pivot
-        # that is not positive means some leading minor is not positive.
-        if not piv > 0:
-            return False
-        M[k + 1 :, k] /= piv
-        M[k + 1 :, k + 1 :] -= np.outer(M[k + 1 :, k], M[k, k + 1 :])
-    return True
+    try:
+        x = np.linalg.solve(np.eye(B.shape[0]) - B, np.ones(B.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(x > 0))

@@ -501,6 +501,30 @@ def test_singular_leontief_row_fails_alone():
     assert info.value.status == SINGULAR
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_singular_leontief_rows_among_many_sectors(n):
+    # Sector j buys only from itself and the primary factor, so the shock
+    # z_j = a_jj zeroes its column of diag(z) - A: exactly singular rows.
+    rng = np.random.default_rng(n)
+    base = random_economy(n, n, gamma=1.0)
+    j = rng.integers(n)
+    A = base.A.copy()
+    A[:, j] = 0.0
+    A[j, j] = 1.0 - base.a0[j]
+    e = Economy(labels=base.labels, A=A, a0=base.a0, gamma=base.gamma)
+    Z = np.exp(0.6 * rng.standard_normal((40, n)))
+    singular = rng.random(40) < 0.3
+    Z[singular, j] = A[j, j]
+    pi, status = solve_uniform_ces_batch(e, Z, 1.0)
+    assert list(status == SINGULAR) == list(singular)
+    assert {CONVERGED, SINGULAR, NO_POSITIVE_SOLUTION} == set(status)
+    np.testing.assert_array_equal(pi[singular], 0.0)
+    for k, z in enumerate(Z):
+        assert closed_form_status(solve_leontief, e, z) == status[k]
+        if status[k] == CONVERGED:
+            np.testing.assert_array_equal(bits(pi[k]), bits(solve_leontief(e, z)))
+
+
 def test_batch_raises_the_first_rows_error():
     e = random_economy(0, 3)
     prefs = HouseholdPrefs(mu=random_shares(0, 3))

@@ -780,6 +780,43 @@ class TestEstimate:
             "message": "no residual degrees of freedom",
         }
 
+    def add_column(self, path, name, seed=5):
+        """Append a column of standard normal noise to the panel at path."""
+        rng = np.random.default_rng(seed)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[0].append(name)
+        for row in rows[1:]:
+            row.append(repr(float(rng.normal())))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("column", ["inst_w", "w"])
+    def test_repeated_instrument_name_is_domain_error(self, tmp_path, capsys,
+                                                      column):
+        # The later column used to replace the earlier one in silence.
+        path = self.write_panel(tmp_path)
+        self.add_column(path, column)
+        rc = main(["estimate", "--panel", path, "--method", "iv", "--iv", "w"])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "MalformedTable",
+            "message": f"panel columns 'inst_w' and {column!r} both name "
+                       "instrument 'w'",
+        }
+
+    def test_transform_naming_a_panel_column_is_domain_error(self, tmp_path,
+                                                             capsys):
+        # 'lw' used to return the file's l_w column, not the lag of w.
+        path = self.write_panel(tmp_path)
+        self.add_column(path, "inst_l_w")
+        rc = main(["estimate", "--panel", path, "--method", "iv", "--iv", "lw"])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "MalformedTable",
+            "message": "transform 'lw' names 'l_w', a column of the panel",
+        }
+
     def test_duplicate_rows_rejected_by_transform(self, tmp_path, capsys):
         path = self.write_panel(tmp_path)
         with open(path, newline="") as fh:

@@ -157,3 +157,24 @@ class TestHawkinsSimon:
 
     def test_single_entry_above_one(self):
         assert not hawkins_simon(np.array([[1.2]]))
+
+    def test_matches_minor_oracle_near_unit_spectral_radius(self):
+        # Sparse and dense nonnegative B scaled to a spectral radius just
+        # below or just above 1, where the viability verdict turns.
+        rng = np.random.default_rng(28)
+        verdicts = []
+        for _ in range(300):
+            n = rng.integers(1, 9)
+            density = rng.uniform(0.2, 1.0)
+            B = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+            B[0, 0] += 0.1  # a positive spectral radius to scale
+            side = rng.choice([-1.0, 1.0])
+            rho = max(abs(np.linalg.eigvals(B)))
+            B *= (1.0 + side * 10 ** rng.uniform(-6, -2)) / rho
+            M = np.eye(n) - B
+            minors = [np.linalg.det(M[: k + 1, : k + 1]) for k in range(n)]
+            viable = all(d > 0 for d in minors)
+            assert viable == (side < 0)
+            assert hawkins_simon(B) == viable
+            verdicts.append(viable)
+        assert 100 < sum(verdicts) < 200
