@@ -397,14 +397,9 @@ def _cmd_gbm(args) -> int:
 def _cmd_estimate(args) -> int:
     panel = _load_panel(args.panel)
     tokens = [t.strip() for t in args.iv.split(",") if t.strip()]
-    loaded, resolved = set(panel.instruments), []
+    resolved = []
     for token in tokens:
         name, panel = em.apply_instrument_transform(panel, token)
-        # The library hands back an existing column of the transform's name,
-        # which for a column of the file is not the transform.
-        if name != token and name in loaded:
-            raise MalformedTable(
-                f"transform {token!r} names {name!r}, a column of the panel")
         resolved.append(name)
     if args.method == "iv":
         estimate = em.fe_2sls(panel, resolved, parameter=args.parameter)

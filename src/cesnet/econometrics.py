@@ -56,6 +56,13 @@ class PanelDataset:
     instruments: dict[str, np.ndarray] = field(default_factory=dict)
     #: The kept rows' order by (entity, period), from the uniqueness check.
     order: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The distinct entities, sorted, and each row's index into them: what
+    #: ``np.unique(entity, return_inverse=True)`` gives, from the same sort.
+    entities: np.ndarray = field(init=False, repr=False, compare=False)
+    entity_code: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The instruments that ``apply_instrument_transform`` made; any other
+    #: rebuild, such as ``within_transform``'s, starts it empty.
+    transformed: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entity = np.asarray(self.entity)
@@ -79,13 +86,20 @@ class PanelDataset:
         # the first such pair is the smallest.
         order = np.lexsort((period, entity))
         e, t = entity[order], period[order]
-        twin = np.flatnonzero((e[1:] == e[:-1]) & (t[1:] == t[:-1]))
+        first = np.ones(order.size, dtype=bool)  # a row starts its entity's run
+        first[1:] = e[1:] != e[:-1]
+        twin = np.flatnonzero(~first[1:] & (t[1:] == t[:-1]))
         if twin.size:
             raise DuplicateObservation(
                 f"entity {e[twin[0]].item()!r} has more than one row "
                 f"for period {t[twin[0]].item()!r}"
             )
+        code = np.empty(order.size, dtype=np.intp)
+        code[order] = np.cumsum(first) - 1
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entities", e[first])
+        object.__setattr__(self, "entity_code", code)
+        object.__setattr__(self, "transformed", frozenset())
         object.__setattr__(self, "entity", entity)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "y", y[keep])
@@ -97,10 +111,6 @@ class PanelDataset:
     @property
     def nobs(self) -> int:
         return self.y.size
-
-    @property
-    def entities(self) -> np.ndarray:
-        return np.unique(self.entity)
 
     @property
     def periods(self) -> np.ndarray:
@@ -143,7 +153,7 @@ class ElasticityEstimate:
 
 def within_transform(panel: PanelDataset) -> PanelDataset:
     """Demean y, x and every instrument by entity over included periods."""
-    demean, _ = _entity_demeaner(panel.entity)
+    demean, _ = _entity_demeaner(panel)
     return replace(
         panel,
         y=demean(panel.y),
@@ -152,18 +162,20 @@ def within_transform(panel: PanelDataset) -> PanelDataset:
     )
 
 
-def _entity_demeaner(entity):
-    codes, inverse = np.unique(entity, return_inverse=True)
-    counts = np.bincount(inverse)
+def _entity_demeaner(panel):
+    """``(demean, counts)``: the function that takes each entity's mean out
+    of a column of ``panel``, and each entity's row count."""
+    code = panel.entity_code
+    counts = np.bincount(code, minlength=panel.entities.size)
     if np.any(counts < 2):
-        bad = codes[np.argmin(counts)].item()
+        bad = panel.entities[np.argmin(counts)].item()
         raise SingletonEntity(f"entity {bad!r} has fewer than 2 observations")
 
     def demean(v):
-        means = np.bincount(inverse, weights=v) / counts
-        return v - means[inverse]
+        means = np.bincount(code, weights=v) / counts
+        return v - means[code]
 
-    return demean, codes.size
+    return demean, counts
 
 
 def _design(panel: PanelDataset, instrument_spec=None):
@@ -177,19 +189,23 @@ def _design(panel: PanelDataset, instrument_spec=None):
         missing = [k for k in instrument_spec if k not in panel.instruments]
         if missing:
             raise UnknownInstrument(f"unknown instruments: {missing}")
-    demean, n_entities = _entity_demeaner(panel.entity)
+    demean, counts = _entity_demeaner(panel)
     periods, t = np.unique(panel.period, return_inverse=True)
     if periods.size < 2:
         raise RankDeficient("need at least two periods for time dummies")
-    D = np.column_stack(
-        [demean((t == k).astype(float)) for k in range(1, periods.size)]
-    )
+    # One column per period 2..T, each demeaned as ``demean`` would: an
+    # entity's count of the period over its row count is the float that
+    # its 0/1 column's mean is.  D is built in place, indicator - mean.
+    T, code = periods.size, panel.entity_code
+    hits = np.bincount(code * T + t, minlength=counts.size * T)
+    D = (hits.reshape(-1, T)[:, 1:] / counts[:, None])[code]
+    np.subtract(t[:, None] == np.arange(1, T), D, out=D)
     y = demean(panel.y)
     x = demean(panel.x)
     X = np.column_stack([x, D])
     Z = None if instrument_spec is None else np.column_stack(
         [*(demean(panel.instruments[k]) for k in instrument_spec), D])
-    return y, x, X, D, Z, periods, n_entities
+    return y, x, X, D, Z, periods, counts.size
 
 
 def fe_ols(panel: PanelDataset, parameter: str = "gamma") -> ElasticityEstimate:
@@ -278,20 +294,11 @@ def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnos
 
 def _iv_diagnostics(design, instrument_spec, u):
     """The diagnostics of the 2SLS fit of ``design`` with residuals u."""
-    _, x, X, D, Z, _, n_entities = design
+    _, x, X, _, Z, _, n_entities = design
     L = len(instrument_spec)
-
-    def partial_dummies(v):
-        return v - D @ _lstsq(D, v, "time dummy matrix")
-
-    # First-stage F: partial the dummies out of x and the excluded
-    # instruments, then test the joint significance of the instruments.
-    x_t = partial_dummies(x)
-    V_t = np.column_stack([partial_dummies(col) for col in Z[:, :L].T])
-    fitted = V_t @ _lstsq(V_t, x_t, "partialled instrument matrix")
-    rss = float(((x_t - fitted) ** 2).sum())
-    ess = float((fitted**2).sum())
-    first_stage_f = (ess / L) / (rss / _residual_dof(design, D.shape[1] + L))
+    # Its partialled columns are freed before the augmented fit below, the
+    # largest of the diagnostics.
+    first_stage_f = _first_stage_f(design, L)
 
     if L > 1:
         u_fit = Z @ _lstsq(Z, u, "instrument matrix")
@@ -336,6 +343,23 @@ def _iv_diagnostics(design, instrument_spec, u):
     )
 
 
+def _first_stage_f(design, L):
+    """The first-stage F of the L excluded instruments of ``design``:
+    partial the dummies out of x and the excluded instruments, then test
+    the joint significance of the instruments."""
+    _, x, _, D, Z, _, _ = design
+
+    def partial_dummies(v):
+        return v - D @ _lstsq(D, v, "time dummy matrix")
+
+    x_t = partial_dummies(x)
+    V_t = np.column_stack([partial_dummies(col) for col in Z[:, :L].T])
+    fitted = V_t @ _lstsq(V_t, x_t, "partialled instrument matrix")
+    rss = float(((x_t - fitted) ** 2).sum())
+    ess = float((fitted**2).sum())
+    return (ess / L) / (rss / _residual_dof(design, D.shape[1] + L))
+
+
 def recover_productivity(estimate: ElasticityEstimate, output_prices) -> np.ndarray:
     """Cumulative log productivity ``ln zeta_t / zeta_1`` from time dummies.
 
@@ -365,7 +389,8 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     lag), ``f`` (first forward) or ``d`` (first difference).  Transformed
     cells without a neighbour period become NaN and are masked out by the
     PanelDataset constructor on rebuild.  Returns the resolved column name
-    and the extended dataset.
+    and the extended dataset.  A column of the transform's name is reused
+    when an earlier call made it; any other raises MalformedTable.
     """
     transform = None
     name = token
@@ -376,13 +401,16 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
     if transform is None:
         return name, panel
     col_name = f"{transform}_{name}"
-    if col_name in panel.instruments:
+    if col_name in panel.transformed:
         return col_name, panel
+    if col_name in panel.instruments:
+        raise MalformedTable(
+            f"transform {token!r} names {col_name!r}, a column of the panel")
     # The panel's (entity, period) pairs are distinct, so in its order by
     # them a row's neighbour is the next row when both share an entity.
     order = panel.order
-    entity = panel.entity[order]
-    same = entity[1:] == entity[:-1]
+    code = panel.entity_code[order]
+    same = code[1:] == code[:-1]
     v = panel.instruments[name][order]
     lo, hi = v[:-1][same], v[1:][same]
     out = np.full(panel.nobs, np.nan)
@@ -392,8 +420,9 @@ def apply_instrument_transform(panel: PanelDataset, token: str) -> tuple[str, Pa
         out[order[:-1][same]] = hi
     else:  # first difference
         out[order[1:][same]] = hi - lo
-    return col_name, replace(
-        panel, instruments={**panel.instruments, col_name: out})
+    rebuilt = replace(panel, instruments={**panel.instruments, col_name: out})
+    object.__setattr__(rebuilt, "transformed", panel.transformed | {col_name})
+    return col_name, rebuilt
 
 
 def _lstsq(M, v, what):

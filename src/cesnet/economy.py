@@ -306,8 +306,10 @@ def _loadtxt_lines(text):
         return None
     sep = "\r\n" if "\r" in text else "\n"
     lines = text.split(sep)
-    if sep == "\r\n" and not len(lines) - 1 == text.count("\r") == text.count("\n"):
-        return None
+    if sep == "\r\n":  # a bare CR or LF is left inside a line
+        rest = "".join(lines)
+        if "\r" in rest or "\n" in rest:
+            return None
     return lines if max(map(len, lines)) <= csv.field_size_limit() else None
 
 

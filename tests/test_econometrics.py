@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cesnet.econometrics import (
     IV_FE,
     LS_FE,
     PanelDataset,
+    _design,
     apply_instrument_transform,
     fe_2sls,
     fe_ols,
@@ -112,6 +114,75 @@ def test_duplicate_pair_rejected_iff_it_survives_the_mask(data):
         assert str(info.value) == f"entity {e!r} has more than one row for period {t!r}"
     else:
         assert build().nobs == len(kept)
+
+
+def parent_design(panel, instrument_spec):
+    """The design as it was built with ``np.unique`` on the entity labels
+    and one demeaned 0/1 column per period, kept as oracle."""
+    codes, inverse = np.unique(panel.entity, return_inverse=True)
+    counts = np.bincount(inverse)
+    if np.any(counts < 2):
+        bad = codes[np.argmin(counts)].item()
+        raise SingletonEntity(f"entity {bad!r} has fewer than 2 observations")
+
+    def demean(v):
+        means = np.bincount(inverse, weights=v) / counts
+        return v - means[inverse]
+
+    periods, t = np.unique(panel.period, return_inverse=True)
+    if periods.size < 2:
+        raise RankDeficient("need at least two periods for time dummies")
+    D = np.column_stack(
+        [demean((t == k).astype(float)) for k in range(1, periods.size)])
+    y, x = demean(panel.y), demean(panel.x)
+    Z = np.column_stack(
+        [*(demean(panel.instruments[k]) for k in instrument_spec), D])
+    return y, x, np.column_stack([x, D]), D, Z, periods, codes.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_entity_codes_and_design_equal_the_unique_oracle(data):
+    """The panel's entity codes and labels are ``np.unique``'s, and the
+    design built from them equals the per-column oracle bit for bit, or
+    raises the oracle's error with its message.  Rows are shuffled, periods
+    have gaps, entities differ in length and a NaN share masks a row (which
+    may leave an entity a singleton)."""
+    if data.draw(st.booleans(), label="unicode labels"):
+        label = st.text(st.characters(blacklist_characters="\0"), max_size=3)
+    else:
+        label = st.integers(-10**6, 10**6)
+    rows = []
+    for e in data.draw(st.lists(label, min_size=1, max_size=6, unique=True)):
+        periods = data.draw(st.lists(
+            st.integers(-3, 12), min_size=2, max_size=8, unique=True))
+        rows += [(e, t) for t in periods]
+    rows = data.draw(st.permutations(rows), label="row order")
+    n = len(rows)
+    cells = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    y, x, w, v = (np.array(data.draw(cells)) for _ in range(4))
+    masked = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    y[list(masked)] = np.nan
+    panel = PanelDataset(
+        entity=np.array([r[0] for r in rows]),
+        period=np.array([r[1] for r in rows]),
+        y=y, x=x, instruments={"w": w, "v": v},
+    )
+    labels, codes = np.unique(panel.entity, return_inverse=True)
+    for got, want in [(panel.entities, labels), (panel.entity_code, codes)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    try:
+        want = parent_design(panel, ["w", "v"])
+    except (SingletonEntity, RankDeficient) as exc:
+        with pytest.raises(type(exc)) as info:
+            _design(panel, ["w", "v"])
+        assert str(info.value) == str(exc)
+        return
+    got = _design(panel, ["w", "v"])
+    for g, r in zip(got[:6], want[:6]):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+    assert got[6] == want[6]
 
 
 class TestWithinTransform:
@@ -479,6 +550,23 @@ class TestInstrumentTransforms:
         assert name == "l_iv1"
         assert np.all(np.isfinite(p.instruments[name]))
         assert p.nobs == base.nobs - base.entities.size
+
+    def test_column_of_the_transforms_name_is_domain_error(self):
+        # A column given to the panel is not the lag, so 'lw' refuses it.
+        panel = self.panel()
+        given = replace(panel, instruments={**panel.instruments,
+                                            "l_w": np.arange(6.0)})
+        with pytest.raises(MalformedTable, match=(
+                r"^transform 'lw' names 'l_w', a column of the panel$")):
+            apply_instrument_transform(given, "lw")
+
+    def test_transform_reuses_only_its_own_column(self):
+        name, made = apply_instrument_transform(self.panel(), "lw")
+        again, same = apply_instrument_transform(made, "lw")
+        assert again == name and same is made
+        # Demeaned, l_w is no longer the lag of the panel's w.
+        with pytest.raises(MalformedTable):
+            apply_instrument_transform(within_transform(made), "lw")
 
     def test_duplicate_entity_period_rejected(self):
         # Two period-2 rows of one entity would pair with each other; the
