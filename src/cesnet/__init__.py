@@ -13,7 +13,6 @@ from .equilibrium import (
     solve_fixed_point,
     solve_leontief,
     solve_uniform_ces,
-    unit_cost,
     unit_costs,
 )
 from .household import (

@@ -376,8 +376,8 @@ def recover_productivity(estimate: ElasticityEstimate, output_prices) -> np.ndar
     T = estimate.time_dummies.size + 1
     if p.shape != (T,):
         raise ValueError(f"output prices have shape {p.shape}, expected ({T},)")
-    if np.any(p <= 0):
-        raise ValueError("output prices must be positive")
+    if not np.all(np.isfinite(p) & (p > 0)):
+        raise ValueError("output prices must be positive and finite")
     mu_diff = np.concatenate(([0.0], estimate.time_dummies))
     return -mu_diff / gamma - np.log(p / p[0])
 

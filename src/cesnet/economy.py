@@ -216,10 +216,10 @@ def _csv_cell(text):
 def benchmark_shares(economy: Economy) -> np.ndarray:
     """Cost shares at the benchmark, shape (n+1, n): exactly a0 over A."""
     ones = np.ones(economy.n)
-    return cost_shares(economy, ones, pi0=1.0, z=ones)
+    return cost_shares(economy, ones, 1.0, ones)
 
 
-def cost_shares(economy: Economy, pi, pi0: float = 1.0, z=None) -> np.ndarray:
+def cost_shares(economy: Economy, pi, pi0: float, z) -> np.ndarray:
     """Factor cost shares by Shephard's lemma, shape (n+1, n).
 
     Row 0 is the primary factor; ``shares[i, j] = a[i, j] *
@@ -227,8 +227,6 @@ def cost_shares(economy: Economy, pi, pi0: float = 1.0, z=None) -> np.ndarray:
     an equilibrium (or the benchmark).
     """
     pi, pi0 = check_prices(pi, economy.n, pi0)
-    if z is None:
-        z = np.ones(economy.n)
     z = check_shock(z, economy.n)
     paug = np.concatenate(([pi0], pi))
     ratio = (z * pi)[None, :] / paug[:, None]
@@ -307,9 +305,10 @@ def _loadtxt_lines(text):
     sep = "\r\n" if "\r" in text else "\n"
     lines = text.split(sep)
     if sep == "\r\n":  # a bare CR or LF is left inside a line
-        rest = "".join(lines)
-        if "\r" in rest or "\n" in rest:
-            return None
+        for k in range(0, len(lines), 1024):  # blocks bound the joined copy
+            rest = "".join(lines[k:k + 1024])
+            if "\r" in rest or "\n" in rest:
+                return None
     return lines if max(map(len, lines)) <= csv.field_size_limit() else None
 
 

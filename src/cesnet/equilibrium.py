@@ -211,11 +211,6 @@ def _cost_kernel(economy: Economy, width: int):
     return costs, u + int(mixed)
 
 
-def unit_cost(economy: Economy, j: int, pi, pi0: float = 1.0) -> float:
-    """Unit cost of sector j; equals 1 at the benchmark by adding-up."""
-    return float(unit_costs(economy, pi, pi0)[j])
-
-
 def cost_map(economy: Economy, pi, z, pi0: float = 1.0) -> np.ndarray:
     """One sweep of the equilibrium recursion: ``c(pi; pi0) / z``.
 
@@ -353,8 +348,8 @@ def solve_uniform_ces_batch(economy: Economy, Z, gamma: float):
     "no_positive_solution" otherwise; prices of rows that did not converge
     are meaningless.
     """
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero; use solve_cobb_douglas")
+    if not (np.isfinite(gamma) and gamma != 0):
+        raise ValueError("gamma must be finite and nonzero; use solve_cobb_douglas at 0")
     Z = check_shock_matrix(Z, economy.n)
     K, n = Z.shape
     M = np.multiply((Z**gamma)[:, :, None], np.eye(n))

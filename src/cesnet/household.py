@@ -7,7 +7,7 @@ productivity shock z is
     ln H = -ln Pi(pi(z)) + ln Pi(1/z)
 
 with the previous real GDP normalized to one: income is credited only up to
-the conservative level ``W = H_prev * Pi(1/z)``, so a simple economy without
+the conservative level ``W = Pi(1/z)``, so a simple economy without
 intermediate inputs (where pi = 1/z exactly) records zero growth.
 """
 
@@ -110,12 +110,11 @@ def price_index(pi, prefs: HouseholdPrefs) -> float:
     return float(np.exp(log_price_index(pi, prefs)))
 
 
-def nominal_income(z, prefs: HouseholdPrefs, H_prev: float = 1.0) -> float:
-    """Conservative nominal income ``W = H_prev * Pi(1/z)``."""
+def nominal_income(z, prefs: HouseholdPrefs) -> float:
+    """Conservative nominal income ``W = Pi(1/z)``, at a previous real GDP
+    of one."""
     z = check_shock(z, prefs.n)
-    if H_prev <= 0:
-        raise ValueError("H_prev must be positive")
-    return float(H_prev * np.exp(log_price_index(1.0 / z, prefs)))
+    return float(np.exp(log_price_index(1.0 / z, prefs)))
 
 
 def real_gdp_growth(

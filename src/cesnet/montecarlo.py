@@ -50,20 +50,17 @@ MIN_BLOCK_FLOATS = 2**16
 
 @dataclass(frozen=True)
 class ShockConfig:
-    """Sampling law for log shocks: ``ln z_j ~ N(mean, sigma)`` iid."""
+    """Sampling law for zero-mean log shocks: ``ln z_j ~ N(0, sigma)`` iid."""
 
     count: int = 10000
     sigma: float = 0.2
     seed: int = 0
-    mean: float = 0.0
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
-        if not np.isfinite(self.mean):
-            raise ValueError("mean must be finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -92,7 +89,7 @@ class DistributionSummary:
 def shock_sample(n: int, config: ShockConfig, index: int) -> np.ndarray:
     """The index-th shock vector of the stream: its own (seed, index) rng."""
     rng = np.random.default_rng([config.seed, index])
-    return np.exp(config.mean + config.sigma * rng.standard_normal(n))
+    return np.exp(config.sigma * rng.standard_normal(n))
 
 
 def sample_shocks(n: int, config: ShockConfig) -> Iterator[np.ndarray]:
@@ -166,8 +163,8 @@ def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
     the last row is checked against ``shock_sample``, so a NumPy whose
     ``default_rng`` seeds differently raises RuntimeError instead of
     giving another stream.  A draw whose exponential overflows to inf or
-    underflows to 0 (a huge ``sigma`` or ``mean``) raises NonPositiveValue
-    naming the draw, and a matrix too large to allocate raises MemoryError.
+    underflows to 0 (a huge ``sigma``) raises NonPositiveValue naming the
+    draw, and a matrix too large to allocate raises MemoryError.
     """
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
@@ -181,7 +178,6 @@ def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
                         "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=row)
     shocks *= config.sigma
-    shocks += config.mean
     with np.errstate(over="ignore"):
         np.exp(shocks, out=shocks)
         last = shock_sample(n, config, config.count - 1)
@@ -192,7 +188,7 @@ def shock_matrix(n: int, config: ShockConfig) -> np.ndarray:
     if bad.any():
         raise NonPositiveValue(
             f"shock draw {int(bad.argmax())} of seed {config.seed} is not a "
-            f"positive finite number (sigma {config.sigma!r}, mean {config.mean!r})")
+            f"positive finite number (sigma {config.sigma!r})")
     return shocks
 
 

@@ -963,6 +963,15 @@ class TestConfig:
         assert err.startswith("usage:") and "unknown config key 'sigmaa'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_line_without_equals_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count = 5\nsigma 0.3\n")
+        rc = main(["--config", str(cfg), "simulate", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "MalformedTable", "message": "config line without '=': 'sigma 0.3'"}
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_parses_flat_file(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("max-iter = 500\n\n# note\nsigma=0.3\n")

@@ -72,6 +72,22 @@ class TestPanelDataset:
         assert p.nobs == 3
         np.testing.assert_array_equal(p.y, [1.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("column", ["period", "y", "x"])
+    def test_misaligned_columns(self, column):
+        cols = {"entity": np.array([1, 1]), "period": np.array([1, 2]),
+                "y": np.zeros(2), "x": np.zeros(2)}
+        cols[column] = cols[column][:1]
+        with pytest.raises(ValueError, match="^entity, period, y, x must share one length$"):
+            PanelDataset(**cols)
+
+    def test_every_row_masked_leaves_no_periods(self):
+        # No entity is left to be a singleton, so the period count is what
+        # fails; without its check the dummies' reshape would raise.
+        p = PanelDataset(entity=[1, 1, 2, 2], period=[1, 2, 1, 2],
+                         y=np.ones(4), x=np.full(4, np.nan))
+        with pytest.raises(RankDeficient, match="^need at least two periods"):
+            fe_ols(p)
+
     def test_misaligned_instrument(self):
         with pytest.raises(ValueError):
             PanelDataset(
@@ -289,6 +305,14 @@ class TestFe2sls:
         assert abs(ols.coef - 0.6) > 4 * ols.se
         assert iv.coef == pytest.approx(0.6, abs=3 * iv.se)
 
+    def test_x_constant_within_entities_is_rank_deficient(self):
+        # Demeaned x is zero, so X = [x, D] loses a rank that Z keeps.
+        p = make_panel(gamma=0.5, noise=0.3, seed=6)
+        p = PanelDataset(entity=p.entity, period=p.period, y=p.y,
+                         x=p.entity.astype(float), instruments=p.instruments)
+        with pytest.raises(RankDeficient, match="^FE design matrix is rank deficient$"):
+            fe_2sls(p, ["iv1"])
+
     def test_weak_instrument_warning(self):
         p = make_panel(
             n_entities=30, n_periods=5, gamma=0.5, noise=1.0,
@@ -482,6 +506,19 @@ class TestRecoverProductivity:
         base = recover_productivity(est, np.ones(4))
         deflated = recover_productivity(est, prices)
         np.testing.assert_allclose(deflated, base - np.log(prices), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite_price(self, bad):
+        p = make_panel(gamma=0.5, noise=0.0, seed=19, n_periods=3)
+        est = fe_ols(p)
+        with pytest.raises(ValueError, match="output prices must be positive"):
+            recover_productivity(est, [1.0, bad, 1.0])
+
+    def test_rejects_wrong_length_prices(self):
+        p = make_panel(gamma=0.5, noise=0.0, seed=19, n_periods=3)
+        est = fe_ols(p)
+        with pytest.raises(ValueError, match=r"output prices have shape \(4,\), expected \(3,\)"):
+            recover_productivity(est, np.ones(4))
 
     def test_gamma_near_zero(self):
         p = make_panel(gamma=0.0, noise=0.0, seed=20)

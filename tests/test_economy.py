@@ -9,6 +9,7 @@ from cesnet import economy
 from cesnet.economy import (
     Economy,
     benchmark_shares,
+    check_shock,
     cost_shares,
     load_economy,
     parse_column,
@@ -137,6 +138,21 @@ class TestLoader:
         with pytest.raises(MalformedTable):
             load_economy(io_path, el_path)
 
+    def test_header_without_sectors(self, tmp_path):
+        io_path, el_path = write_csvs(tmp_path, ["sector", "PRIMARY"], ["a,1.0"])
+        with pytest.raises(MalformedTable, match="^IO table header declares no sectors$"):
+            load_economy(io_path, el_path)
+
+    def test_sector_row_with_the_wrong_label(self, tmp_path):
+        io_path, el_path = write_csvs(
+            tmp_path,
+            ["sector,steel,corn", "PRIMARY,0.5,0.5", "steel,0.2,0.3", "wheat,0.3,0.2"],
+            ["steel,1.0", "corn,1.0"],
+        )
+        with pytest.raises(MalformedTable,
+                           match="^IO table row 4 labelled 'wheat', expected 'corn'$"):
+            load_economy(io_path, el_path)
+
     def test_duplicate_sector_label(self, tmp_path):
         io_path, el_path = write_csvs(
             tmp_path,
@@ -254,6 +270,14 @@ class TestCsvReader:
         head, (keys, values) = read_typed_columns(path, "t", (object, float), 2, 1)
         assert head is None and keys.tolist() == ["a", "b"]
         assert values.dtype == np.float64 and values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("stray", ["\r", "\n"])
+    def test_stray_line_end_past_the_first_block_is_seen(self, stray):
+        # The CRLF check joins the lines 1024 at a time.
+        lines = [f"s{k},1" for k in range(3000)]
+        assert economy._loadtxt_lines("\r\n".join(lines)) == lines
+        lines[2500] = f"s2500{stray},1"
+        assert economy._loadtxt_lines("\r\n".join(lines)) is None
 
     def test_decode_error_gives_the_byte_offset_in_the_file(self, tmp_path):
         # The offset counts from the start of the file, not from the start
@@ -463,6 +487,16 @@ class TestEconomyType:
         args[field] = np.full_like(args[field], bad)
         with pytest.raises(MalformedTable, match=f"{field} must be finite"):
             Economy(labels=("a",), **args)
+
+    def test_rejects_inconsistent_shapes(self):
+        with pytest.raises(MalformedTable, match=(
+                r"^inconsistent shapes: A\(1, 1\), a0\(2,\), gamma\(1,\) for 1 sectors$")):
+            Economy(labels=("a",), A=[[0.4]], a0=[0.6, 0.0], gamma=[0.0])
+
+    def test_check_shock_rejects_the_wrong_length(self):
+        with pytest.raises(MalformedTable,
+                           match=r"^shock vector has shape \(3,\), expected \(2,\)$"):
+            check_shock(np.ones(3), 2)
 
     def test_immutable_arrays(self, econ4):
         with pytest.raises(ValueError):

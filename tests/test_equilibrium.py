@@ -11,7 +11,7 @@ from cesnet.equilibrium import (
     solve_fixed_point_batch,
     solve_leontief,
     solve_uniform_ces,
-    unit_cost,
+    solve_uniform_ces_batch,
     unit_costs,
 )
 from cesnet.errors import NonPositivePrice, NoPositiveSolution
@@ -30,11 +30,11 @@ class TestUnitCost:
     def test_degree_one_homogeneity_single_sector(self):
         for gamma in (-1.0, 0.0, 0.5, 1.0):
             e = Economy(labels=("a",), A=[[0.0]], a0=[1.0], gamma=[gamma])
-            assert unit_cost(e, 0, np.array([1.0]), pi0=2.0) == pytest.approx(2.0)
+            assert unit_costs(e, np.array([1.0]), pi0=2.0)[0] == pytest.approx(2.0)
 
     def test_leontief_arithmetic_mean(self):
         e = Economy(labels=("a",), A=[[0.5]], a0=[0.5], gamma=[1.0])
-        assert unit_cost(e, 0, np.array([3.0]), pi0=1.0) == pytest.approx(2.0)
+        assert unit_costs(e, np.array([3.0]), pi0=1.0)[0] == pytest.approx(2.0)
 
     def test_rejects_nonpositive_price(self, econ4):
         with pytest.raises(NonPositivePrice):
@@ -156,6 +156,14 @@ class TestClosedForms:
         e = Economy(labels=("a",), A=[[0.4]], a0=[0.6], gamma=[1.0])
         with pytest.raises(NoPositiveSolution):
             solve_leontief(e, np.array([0.3]))
+
+    @pytest.mark.parametrize("gamma", [0.0, np.nan, np.inf, -np.inf])
+    def test_uniform_rejects_zero_or_non_finite_gamma(self, gamma):
+        e = random_economy(0, 3)
+        with pytest.raises(ValueError, match="finite and nonzero; use solve_cobb_douglas"):
+            solve_uniform_ces(e, np.ones(3), gamma)
+        with pytest.raises(ValueError, match="finite and nonzero; use solve_cobb_douglas"):
+            solve_uniform_ces_batch(e, np.ones((2, 3)), gamma)
 
     def test_cobb_douglas_trivial(self, econ4):
         np.testing.assert_allclose(

@@ -10,7 +10,7 @@ from cesnet.equilibrium import (
     solve_fixed_point,
     solve_fixed_point_batch,
 )
-from cesnet.errors import MalformedTable, NonPositivePrice
+from cesnet.errors import InvalidPreferences, MalformedTable, NonPositivePrice
 from cesnet.household import (
     COBB_DOUGLAS,
     GENERAL_CES,
@@ -85,6 +85,16 @@ class TestPriceIndex:
         with pytest.raises(ValueError):
             HouseholdPrefs(mu=[1.2, -0.2])
 
+    @pytest.mark.parametrize("mu", [[], [[0.5, 0.5]]])
+    def test_prefs_reject_empty_or_nested_shares(self, mu):
+        with pytest.raises(InvalidPreferences, match="^mu must be a nonempty vector$"):
+            HouseholdPrefs(mu=mu)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_prefs_reject_non_finite_kappa(self, kappa):
+        with pytest.raises(InvalidPreferences, match="^kappa must be finite$"):
+            HouseholdPrefs(mu=[0.5, 0.5], kappa=kappa)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_prefs_reject_non_finite_shares(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -95,8 +105,9 @@ class TestPriceIndex:
 
 class TestNominalIncome:
     def test_unit_shock_gives_h_prev(self):
+        # The previous real GDP is normalized to one.
         prefs = HouseholdPrefs(mu=random_shares(3, 3), kappa=0.3)
-        assert nominal_income(np.ones(3), prefs, H_prev=1.7) == pytest.approx(1.7)
+        assert nominal_income(np.ones(3), prefs) == 1.0
 
     def test_harmonic_oracle(self):
         # kappa = 1 on reciprocal prices: W = mu . (1/z).
@@ -272,7 +283,7 @@ class TestDomarWeights:
 class TestSpotChecks:
     def test_uniform_shock_scales_income(self):
         prefs = HouseholdPrefs(mu=random_shares(5, 3), kappa=-0.4)
-        assert nominal_income(np.full(3, 2.0), prefs, H_prev=3.0) == pytest.approx(1.5)
+        assert nominal_income(np.full(3, 2.0), prefs) == pytest.approx(0.5)
 
     def test_direct_formula_evaluation(self):
         prefs = HouseholdPrefs(mu=[0.3, 0.7], kappa=0.5)

@@ -141,6 +141,9 @@ class TestHawkinsSimon:
             minors = [np.linalg.det(M[: k + 1, : k + 1]) for k in range(n)]
             assert hawkins_simon(B) == all(d > 0 for d in minors)
 
+    def test_singular_i_minus_b_is_not_viable(self):
+        assert hawkins_simon([[1.0]]) is False
+
     def test_rejects_negative_or_nonsquare(self):
         with pytest.raises(ValueError):
             hawkins_simon(np.array([[-0.1]]))
