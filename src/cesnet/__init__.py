@@ -6,7 +6,7 @@ tail-asymmetry experiments, GBM productivity estimation and FE/IV panel
 estimation of sectoral elasticities of substitution.
 """
 
-from .economy import Economy, benchmark_shares, cost_shares, load_economy, save_economy
+from .economy import Economy, cost_shares, load_economy, save_economy
 from .equilibrium import (
     EquilibriumResult,
     solve_cobb_douglas,

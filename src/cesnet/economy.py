@@ -213,12 +213,6 @@ def _csv_cell(text):
     return text
 
 
-def benchmark_shares(economy: Economy) -> np.ndarray:
-    """Cost shares at the benchmark, shape (n+1, n): exactly a0 over A."""
-    ones = np.ones(economy.n)
-    return cost_shares(economy, ones, 1.0, ones)
-
-
 def cost_shares(economy: Economy, pi, pi0: float, z) -> np.ndarray:
     """Factor cost shares by Shephard's lemma, shape (n+1, n).
 

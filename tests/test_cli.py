@@ -13,10 +13,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cesnet import econometrics as em
+from cesnet import montecarlo
 from cesnet.cli import load_config, main
-from cesnet.economy import _loadtxt_lines, write_csv
+from cesnet.economy import (
+    _loadtxt,
+    _loadtxt_lines,
+    parse_column,
+    read_csv_table,
+    save_economy,
+    write_csv,
+)
 from cesnet.household import METHODS, HouseholdPrefs, real_gdp_growth
 from cesnet.montecarlo import hp_filter, qq_points
+
+from conftest import random_economy
 
 
 def write_economy(tmp_path):
@@ -50,8 +60,10 @@ def read_csv(path):
 
 
 def single_json_error(capsys):
-    """The one JSON line a domain error leaves on stderr, parsed."""
-    err = capsys.readouterr().err
+    """The one JSON line a domain error leaves on stderr, parsed; nothing
+    may reach stdout."""
+    out, err = capsys.readouterr()
+    assert out == "", out
     assert err.count("\n") == 1 and err.endswith("\n"), err
     return json.loads(err)
 
@@ -289,6 +301,25 @@ class TestNonFiniteSigma:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("usage:") and "--sigma" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "experiment"])
+    def test_sigma_whose_draws_overflow_is_a_domain_error(self, tmp_path, capsys,
+                                                          subcommand):
+        # A finite sigma whose draws leave exp's range is no usage error;
+        # the message names the first such draw and the sigma.
+        io_path, el_path = write_economy(tmp_path)
+        rc = main([
+            subcommand, "--economy", io_path, "--elasticities", el_path,
+            "--prefs", write_prefs(tmp_path), "--count", "5", "--sigma", "1e6",
+            "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert single_json_error(capsys) == {
+            "error": "NonPositiveValue",
+            "message": "shock draw 0 of seed 20110101 is not a positive finite "
+                       "number (sigma 1000000.0)",
+        }
         assert not (tmp_path / "out").exists()
 
     def test_bad_sigma_in_config_is_usage_error(self, tmp_path, capsys):
@@ -735,7 +766,7 @@ class TestEstimate:
             "error": "UnknownInstrument", "message": "unknown instrument 'qvoid'",
         }
 
-    @pytest.mark.parametrize("iv", [[], ["--iv", " , "]])
+    @pytest.mark.parametrize("iv", [[], ["--iv", " , "], ["--iv", ""]])
     def test_iv_without_instruments_is_domain_error(self, tmp_path, capsys, iv):
         path = self.write_panel(tmp_path)
         assert main(["estimate", "--panel", path, "--method", "iv", *iv]) == 1
@@ -1015,6 +1046,30 @@ class TestExperiment:
                 out2 / f"samples_{tag}.csv"
             ).read_bytes()
 
+    @pytest.mark.parametrize("n", [40])
+    def test_every_file_independent_of_workers(self, tmp_path, n):
+        # At the natural work floor, 400 draws of n >= 40 sectors are
+        # enough for --workers 2 to solve two blocks on a thread pool.
+        # BLAS keeps its thread count.
+        count = 400
+        assert count * (n + 1) * n >= 2 * montecarlo.MIN_BLOCK_FLOATS
+        e = random_economy(n, n)
+        io_path, el_path, mu_path = (tmp_path / f for f in ("io.csv", "el.csv",
+                                                             "mu.csv"))
+        save_economy(e, io_path, el_path)
+        mu_path.write_text("".join(f"{label},{1 / n!r}\n" for label in e.labels))
+        args = ["experiment", "--economy", str(io_path), "--elasticities",
+                str(el_path), "--prefs", str(mu_path), "--count", str(count),
+                "--seed", "3"]
+        for w in (1, 2):
+            assert main([*args, "--workers", str(w), "--outdir",
+                         str(tmp_path / f"w{w}")]) == 0
+        names = sorted(os.listdir(tmp_path / "w1"))
+        assert len(names) == 10 and names == sorted(os.listdir(tmp_path / "w2"))
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (
+                tmp_path / "w2" / name).read_bytes(), name
+
 
 class TestExperimentEdgeCases:
     def find_crippling_seed(self):
@@ -1191,6 +1246,94 @@ class TestPlainInputErrors:
         assert err == ('{"error": "MalformedTable", "message": '
                        "\"non-finite value ' nan' in series row 4\"}\n")
 
+
+class TestInputStyles:
+    """One panel and one IO table, each written with LF line ends, with
+    CRLF, with CRLF but for one LF-ended row, with every cell quoted and
+    with a row of empty cells mid-file, read as the same typed columns and
+    give the same output bytes, whichever path the reader takes."""
+
+    STYLES = ("lf", "crlf", "mixed", "quoted", "blank")
+    #: The styles that are plain text (``_loadtxt_lines``) and those that
+    #: loadtxt reads: the quoted and mixed files are not plain, and loadtxt
+    #: refuses the plain file's row of empty cells.
+    PLAIN = ("lf", "crlf", "blank")
+    LOADTXT = ("lf", "crlf")
+
+    @staticmethod
+    def inputs(tmp_path):
+        """``{kind: (rows, name, types, argv)}``, ``argv`` taking the path."""
+        rng = np.random.default_rng(16)
+        N, T, n = 40, 6, 5
+        w = rng.normal(0.0, 1.0, N * T)
+        u = rng.normal(0.0, 0.5, N * T)
+        x = 0.7 * w + u + rng.normal(0.0, 0.3, N * T)
+        y = np.repeat(rng.normal(0.0, 1.0, N), T) + 0.6 * x + u
+        panel = [["entity", "period", "share", "price", "inst_w"]] + [
+            [f"e{i // T}", i % T + 1, *cells] for i, cells in
+            enumerate(zip(np.exp(y).tolist(), np.exp(x).tolist(), w.tolist()))]
+        a = rng.uniform(0.1, 1.0, (n + 1, n))
+        a /= a.sum(axis=0)
+        labels = [f"s{j}" for j in range(n)]
+        table = [["sector", *labels]] + [
+            [label, *row] for label, row in zip(["PRIMARY", *labels], a.tolist())]
+        el = tmp_path / "el.csv"
+        el.write_text("".join(f"{label},{s!r}\n" for label, s in
+                              zip(labels, rng.uniform(0.2, 1.8, n).tolist())))
+        return {
+            "panel": (panel, "panel", (object, int, float), lambda path, out: [
+                "estimate", "--panel", path, "--method", "iv", "--iv", "w",
+                "--out", str(out / "est.json")]),
+            "io": (table, "IO table", (object, float), lambda path, out: [
+                "solve", "--economy", path, "--elasticities", str(el),
+                "--outdir", str(out)]),
+        }
+
+    @staticmethod
+    def text(rows, style):
+        if style == "blank":
+            rows = [*rows[:3], [""] * len(rows[0]), *rows[3:]]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n" if style in ("crlf", "mixed") else "\n",
+                   quoting=csv.QUOTE_ALL if style == "quoted" else csv.QUOTE_MINIMAL,
+                   ).writerows(rows)
+        text = buf.getvalue()
+        if style == "mixed":  # the third row ends in LF alone
+            ends = text.split("\r\n")
+            text = "\r\n".join(ends[:3]) + "\n" + "\r\n".join(ends[3:])
+        return text
+
+    @pytest.mark.parametrize("kind", ["panel", "io"])
+    def test_every_style_reads_alike(self, tmp_path, kind):
+        rows, name, types, argv = self.inputs(tmp_path)[kind]
+        read = {}
+        for style in self.STYLES:
+            text = self.text(rows, style)
+            assert (_loadtxt_lines(text) is not None) == (style in self.PLAIN), style
+            assert (_loadtxt(text, types, "first", None) is not None) == (
+                style in self.LOADTXT), style
+            path = tmp_path / f"{kind}_{style}.csv"
+            path.write_bytes(text.encode())
+            header, columns = read_csv_table(path, name, types)
+            kinds = [*types, *types[-1:] * len(columns)]
+            typed = [self.typed(col, t, name) for col, t in zip(columns, kinds)]
+            out = tmp_path / style
+            out.mkdir()
+            assert main(argv(str(path), out)) == 0
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            read[style] = (header, typed, files)
+        for style in self.STYLES:
+            assert read[style] == read["lf"], style
+
+    @staticmethod
+    def typed(column, kind, name):
+        """A label column's cells, or a number column's dtype and bytes."""
+        if kind is object:
+            return list(column)
+        values = parse_column(column, kind, "cell", name, 2)
+        return values.dtype.str, values.tobytes()
+
+
 # Finite floats, with the corner cases of shortest round-trip formatting.
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-7, 1e15, 123456789012345678.0])
@@ -1285,14 +1428,10 @@ class TestCliFuzz:
             "--pi0": ["0", "-1", "nan", "abc"],
         }),
         "aggregate": (("economy", "elasticities", "prefs", "shocks"), {
-            # kappa +-1e308 puts ln H beyond the float range: a domain
-            # error (see TestAggregate).
             "--method": ["bogus"],
             "--kappa": ["nan", "inf", "abc", "1e308", "-1e308"],
         }),
         "qq": (("input",), {"--outdir": []}),
-        # lambda 1e16 makes the HP system indefinite in floating point and
-        # 1e308 overflows it: domain errors, not usage errors.
         "hp": (("input",), {"--lam": ["0", "-1", "nan", "abc", "1e16", "1e308"]}),
         "gbm": (("levels",), {"--outdir": []}),
         "estimate": (("panel",), {
@@ -1301,12 +1440,28 @@ class TestCliFuzz:
         }),
         "experiment": (("economy", "elasticities", "prefs"), {
             "--count": ["0", "-3", "1.5", "abc"],
-            # sigma 800 overflows exp: a domain error, not a usage error.
             "--sigma": ["0", "-1", "nan", "800"], "--workers": ["0", "abc"],
-            # kappa +-1e308 fails every method: a domain error after the
-            # report is written (see TestExperimentEdgeCases).
             "--seed": ["abc", "-1"], "--kappa": ["nan", "1e308", "-1e308"],
         }),
+    }
+    #: The flag values above that parse but fail in the run: domain errors,
+    #: each with its error's name.  Every other value is a usage error.
+    DOMAIN_ERRORS = {
+        # kappa +-1e308 puts ln H beyond the float range (see
+        # TestAggregate); in experiment it fails every method, after the
+        # report is written (see TestExperimentEdgeCases).
+        ("aggregate", "--kappa", "1e308"): "NonPositivePrice",
+        ("aggregate", "--kappa", "-1e308"): "NonPositivePrice",
+        ("experiment", "--kappa", "1e308"): "NonPositivePrice",
+        ("experiment", "--kappa", "-1e308"): "NonPositivePrice",
+        # lambda 1e16 makes the HP system indefinite in floating point and
+        # 1e308 overflows it.
+        ("hp", "--lam", "1e16"): "SingularSystem",
+        ("hp", "--lam", "1e308"): "SingularSystem",
+        ("estimate", "--iv", "zz"): "UnknownInstrument",
+        ("estimate", "--iv", "l"): "UnknownInstrument",
+        # sigma 800 overflows exp.
+        ("experiment", "--sigma", "800"): "NonPositiveValue",
     }
 
     def argv(self, work, subcommand):
@@ -1335,10 +1490,11 @@ class TestCliFuzz:
     ])
     def test_bad_flag_value(self, tmp_path, capsys, subcommand, flag, value):
         rc = main([*self.argv(tmp_path, subcommand), flag, value])
-        if rc == 2:
-            assert capsys.readouterr().err.startswith("usage:")
+        error = self.DOMAIN_ERRORS.get((subcommand, flag, value))
+        if error is None:
+            assert rc == 2 and capsys.readouterr().err.startswith("usage:")
         else:
-            assert rc == 1 and single_json_error(capsys)
+            assert rc == 1 and single_json_error(capsys)["error"] == error
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,11 +1,13 @@
+import json
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cesnet.cli import main
 from cesnet.econometrics import (
     IV_FE,
     LS_FE,
@@ -18,6 +20,8 @@ from cesnet.econometrics import (
     recover_productivity,
     within_transform,
 )
+from cesnet.economy import cost_shares, write_csv
+from cesnet.equilibrium import CONVERGED, solve_fixed_point_batch
 from cesnet.errors import (
     DuplicateObservation,
     GammaNearZero,
@@ -27,6 +31,8 @@ from cesnet.errors import (
     UnknownInstrument,
     WeakInstrumentWarning,
 )
+
+from conftest import random_economy
 
 
 def make_panel(
@@ -697,3 +703,119 @@ def test_transform_equals_per_entity_loop(data):
         assert new.instruments.keys() == ref.instruments.keys()
         for k, v in ref.instruments.items():
             assert new.instruments[k].tobytes() == v.tobytes()
+
+
+def model_panels(economy, periods, seed, step=0.05):
+    """Input-share panels that the CES model itself generates.
+
+    ln z follows a random walk with steps ``step * N(0, 1)`` over
+    ``periods`` periods, and the prices are its equilibria.  Returns None
+    if a period has none, else ``(ln_z, ln_pi, panel)``: ln z and ln pi
+    with one row per period, and ``panel(j, x, instruments)``, sector j's
+    panel with entities i = 0..n (0 the primary factor, priced 1), periods
+    1..T, y = ln s_ij from ``cost_shares`` and x = ln pi_i unless another x
+    is given.  By Shephard's lemma ln s_ij = ln a_ij + gamma_j ln pi_i -
+    gamma_j ln(z_j pi_j): an entity effect, a period effect and the slope
+    gamma_j.
+    """
+    rng = np.random.default_rng(seed)
+    ln_z = rng.normal(0.0, step, (periods, economy.n)).cumsum(axis=0)
+    z = np.exp(ln_z)
+    batch = solve_fixed_point_batch(economy, z, tol=1e-14)
+    if (batch.status != CONVERGED).any():
+        return None
+    shares = np.array([cost_shares(economy, p, 1.0, zt)
+                       for p, zt in zip(batch.pi, z)])
+    ln_pi = np.log(np.column_stack([np.ones(periods), batch.pi]))
+    entity = np.repeat(np.arange(economy.n + 1), periods)
+    period = np.tile(np.arange(1, periods + 1), economy.n + 1)
+
+    def panel(j, x=None, instruments=None):
+        return PanelDataset(
+            entity=entity, period=period, y=np.log(shares[:, :, j].T.ravel()),
+            x=ln_pi.T.ravel() if x is None else x, instruments=instruments or {})
+
+    return ln_z, ln_pi[:, 1:], panel
+
+
+#: Sector elasticities: log-limit sectors (gamma 0, or within the solver's
+#: switch to the log form), and gammas whose recovery divides by no less
+#: than 0.05.
+MODEL_GAMMAS = st.one_of(
+    st.sampled_from([0.0, 1e-9, -1e-9]),
+    st.floats(0.05, 1.5), st.floats(-1.0, -0.05))
+
+
+class TestModelPanels:
+    """The paper's estimation loop closed on panels that the model makes:
+    the FE fit of a sector's input shares returns its gamma, and its time
+    dummies the sector's productivity path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gamma=st.lists(MODEL_GAMMAS, min_size=2, max_size=8),
+           periods=st.integers(3, 20))
+    def test_fe_ols_recovers_gamma_and_productivity(self, seed, gamma, periods):
+        e = random_economy(seed, len(gamma), gamma=gamma)
+        made = model_panels(e, periods, seed)
+        assume(made is not None)  # an inelastic economy may be unviable
+        ln_z, ln_pi, panel = made
+        for j, g in enumerate(e.gamma):
+            est = fe_ols(panel(j))
+            assert abs(est.coef - g) <= 1e-13, (j, g, est.coef)
+            if abs(g) < 1e-6:  # constant shares: no productivity to recover
+                with pytest.raises(GammaNearZero):
+                    recover_productivity(est, np.exp(ln_pi[:, j]))
+                continue
+            path = recover_productivity(est, np.exp(ln_pi[:, j]))
+            np.testing.assert_allclose(path, ln_z[:, j] - ln_z[0, j],
+                                       rtol=0, atol=1e-11)
+
+    def test_cli_estimate_equals_the_library(self, tmp_path):
+        e = random_economy(5, 6)
+        _, _, panel = model_panels(e, 12, 5)
+        p = panel(2)
+        labels = [f"i{k}" for k in p.entity]
+        share, price = np.exp(p.y), np.exp(p.x)
+        path = tmp_path / "panel.csv"
+        write_csv(path, ["entity", "period", "share", "price"], labels,
+                  p.period, share, price)
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--panel", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        # The file holds the shortest round-trip form of each float.
+        want = fe_ols(PanelDataset(entity=np.asarray(labels), period=p.period,
+                                   y=np.log(share), x=np.log(price)))
+        assert payload["coef"] == want.coef and payload["se"] == want.se
+        assert payload["time_dummies"] == {
+            str(t): v for t, v in zip(want.dummy_periods.tolist(),
+                                      want.time_dummies.tolist())}
+        assert abs(want.coef - e.gamma[2]) <= 1e-13
+
+    def test_lag_instrument_covers_gamma_under_price_error(self):
+        # Observed prices x = ln pi + 0.02 N(0, 1) attenuate FE-OLS; their
+        # lag is correlated with ln pi, a random walk, and not with this
+        # period's error, so 2SLS on it is consistent.  The walk's steps of
+        # 0.02 keep the prices' spread near the error's, so the attenuation
+        # is many standard errors.
+        covered = {"ols": [], "2sls": []}
+        for seed in range(10):
+            e = random_economy(seed, 10)
+            _, _, panel = model_panels(e, 20, seed, step=0.02)
+            rng = np.random.default_rng(100 + seed)
+            for j, g in enumerate(e.gamma):
+                p = panel(j)
+                x = p.x + rng.normal(0.0, 0.02, p.x.size)
+                lag = np.where(p.period > 1, np.roll(x, 1), np.nan)
+                ols = fe_ols(panel(j, x))
+                name, lagged = apply_instrument_transform(
+                    panel(j, x, {"w": x}), "lw")
+                iv = fe_2sls(lagged, [name])
+                # The lag pairs each row with its own entity's last period.
+                oracle = fe_2sls(panel(j, x, {"lag": lag}), ["lag"])
+                assert (iv.coef, iv.se, iv.nobs) == (oracle.coef, oracle.se,
+                                                     oracle.nobs)
+                covered["ols"].append(abs(ols.coef - g) <= 2 * ols.se)
+                covered["2sls"].append(abs(iv.coef - g) <= 2 * iv.se)
+        assert np.mean(covered["2sls"]) >= 0.9, covered
+        assert np.mean(covered["ols"]) <= 0.1, covered

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cesnet import economy
 from cesnet.economy import (
     Economy,
-    benchmark_shares,
     check_shock,
     cost_shares,
     load_economy,
@@ -506,22 +505,29 @@ class TestEconomyType:
         np.testing.assert_array_equal(econ4.sigma, 1.0 - econ4.gamma)
 
 
+def shares_at_benchmark(e):
+    """Cost shares at the benchmark, where every price and productivity is
+    one."""
+    ones = np.ones(e.n)
+    return cost_shares(e, ones, 1.0, ones)
+
+
 class TestBenchmarkShares:
     def test_equals_calibrated_coefficients(self, econ4):
-        shares = benchmark_shares(econ4)
-        np.testing.assert_allclose(shares[0], econ4.a0, atol=1e-15)
-        np.testing.assert_allclose(shares[1:], econ4.A, atol=1e-15)
+        # 1.0 ** x is exactly 1, so the shares are the coefficients' bits.
+        np.testing.assert_array_equal(shares_at_benchmark(econ4),
+                                      econ4.augmented_coefficients())
 
     def test_single_sector_pure_primary(self):
         e = Economy(labels=("only",), A=[[0.0]], a0=[1.0], gamma=[0.5])
-        shares = benchmark_shares(e)
+        shares = shares_at_benchmark(e)
         np.testing.assert_array_equal(shares, [[1.0], [0.0]])
 
     def test_columns_sum_to_one(self):
         for seed in range(5):
             e = random_economy(seed, 5)
             np.testing.assert_allclose(
-                benchmark_shares(e).sum(axis=0), 1.0, atol=1e-12
+                shares_at_benchmark(e).sum(axis=0), 1.0, atol=1e-12
             )
 
     def test_zero_coefficient_share_stays_zero(self):
