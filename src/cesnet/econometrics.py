@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DuplicateObservation,
@@ -294,6 +293,10 @@ def iv_diagnostics(panel: PanelDataset, instrument_spec: list[str]) -> IvDiagnos
 
 def _iv_diagnostics(design, instrument_spec, u):
     """The diagnostics of the 2SLS fit of ``design`` with residuals u."""
+    # Imported here: scipy.special is slow to load, and only these tail
+    # probabilities and gbm's need it.
+    from scipy import special
+
     _, x, X, _, Z, _, n_entities = design
     L = len(instrument_spec)
     # Its partialled columns are freed before the augmented fit below, the

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSample, NonPositiveValue, SeriesTooShort
+from .montecarlo import _ndtri
 
 SAMPLE_MOMENTS = "sample-moments"
 SIMULATED_ML = "simulated-ml"
@@ -81,8 +81,10 @@ def shapiro_wilk(series) -> tuple[float, float]:
     nn = x.size
     xs = np.sort(x)
 
-    # ndtri is scipy.stats.norm.ppf on (0, 1), where Blom's positions lie.
-    m = special.ndtri((np.arange(1, nn + 1) - 0.375) / (nn + 0.25))
+    # _ndtri is scipy.stats.norm.ppf to the bit on (0, 1), where Blom's
+    # positions lie: a numpy port of Cephes ndtri with libm's log (see
+    # montecarlo._ndtri).
+    m = _ndtri((np.arange(1, nn + 1) - 0.375) / (nn + 0.25))
     summ2 = float(m @ m)
     ssumm2 = math.sqrt(summ2)
     a = np.empty(nn)
@@ -129,5 +131,9 @@ def shapiro_wilk(series) -> tuple[float, float]:
         y = math.log1p(-W)
         mu = np.polyval((0.0038915, -0.083751, -0.31082, -1.5861), ln_n)
         sigma = math.exp(np.polyval((0.0030302, -0.082676, -0.4803), ln_n))
-    # ndtr(-z) is scipy.stats.norm.sf(z) for every z.
-    return W, float(special.ndtr(-((y - mu) / sigma)))
+    # ndtr(-z) is scipy.stats.norm.sf(z) for every z.  Imported here:
+    # scipy.special is slow to load, and only gbm and the IV diagnostics
+    # need it.
+    from scipy.special import ndtr
+
+    return W, float(ndtr(-((y - mu) / sigma)))

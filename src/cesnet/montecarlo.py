@@ -8,12 +8,12 @@ so runs are reproducible regardless of how the draws are split into blocks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
-from scipy import special
 
 from .economy import Economy, check_shock_matrix
 from .equilibrium import CONVERGED
@@ -308,9 +308,91 @@ def qq_points(samples) -> np.ndarray:
         raise DegenerateSample("constant sample has no QQ representation")
     standardized = np.sort((samples - samples.mean()) / sd)
     k = np.arange(1, samples.size + 1)
-    # ndtri is scipy.stats.norm.ppf on (0, 1), where (k - 0.5) / N lies.
-    theoretical = special.ndtri((k - 0.5) / samples.size)
+    # _ndtri is scipy.stats.norm.ppf to the bit on (0, 1), where
+    # (k - 0.5) / N lies, without loading SciPy (see _ndtri).
+    theoretical = _ndtri((k - 0.5) / samples.size)
     return np.column_stack([theoretical, standardized])
+
+
+def _polevl(x, coefs, monic=False):
+    """Cephes ``polevl``: Horner's rule from ``coefs[0]``; ``monic`` is
+    Cephes ``p1evl``, whose leading coefficient 1 is implied."""
+    acc = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _libm_log(a) -> np.ndarray:
+    """ln of each value by the C library's ``log``, which Cephes calls."""
+    return np.array(list(map(math.log, a.tolist())))
+
+
+def _ndtri(p) -> np.ndarray:
+    """The standard normal quantile of each p in (0, 1), equal to the bit to
+    ``scipy.special.ndtri``, without the import of ``scipy.special``: it
+    takes longer than all the rest of ``import cesnet.cli``.
+
+    This is a numpy port of Cephes ``ndtri``, which SciPy runs: the same
+    coefficients, branches and order of operations, each of them correctly
+    rounded in numpy as in C.  The two tail logarithms are ``_libm_log``:
+    numpy's SIMD ``np.log`` differs from the C library's in the last bit
+    for some arguments.  Each branch runs on
+    its own values only, and the far tail (p or 1 - p below about 1e-14)
+    only when some value needs it.
+    """
+    p0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+          -5.66762857469070293439E1, 1.39312609387279679503E1,
+          -1.23916583867381258016E0)
+    q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+          8.63602421390890590575E1, -2.25462687854119370527E2,
+          2.00260212380060660359E2, -8.20372256168333339912E1,
+          1.59056225126211695515E1, -1.18331621121330003142E0)
+    p1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+          5.71628192246421288162E1, 4.40805073893200834700E1,
+          1.46849561928858024014E1, 2.18663306850790267539E0,
+          -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+          -8.57456785154685413611E-4)
+    q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+          4.13172038254672030440E1, 1.50425385692907503408E1,
+          2.50464946208309415979E0, -1.42182922854787788574E-1,
+          -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+    p2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+          3.93881025292474443415E0, 1.33303460815807542389E0,
+          2.01485389549179081538E-1, 1.23716634817820021358E-2,
+          3.01581553508235416007E-4, 2.65806974686737550832E-6,
+          6.23974539184983293730E-9)
+    q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+          1.37702099489081330271E0, 2.16236993594496635890E-1,
+          1.34204006088543189037E-2, 3.28014464682127739104E-4,
+          2.89247864745380683936E-6, 6.79019408009981274425E-9)
+    e2 = 0.13533528323661269189  # exp(-2)
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - e2
+    y = np.where(upper, 1.0 - p, p)
+    x = np.empty_like(y)
+    central = y > e2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * (y2 * _polevl(y2, p0) / _polevl(y2, q0, True))
+                  ) * 2.50662827463100050242E0
+    tail = ~central
+    if tail.any():
+        # sqrt(-2 ln y) - ln(t) / t less a rational function of 1 / t.
+        t = np.sqrt(-2.0 * _libm_log(y[tail]))
+        t0 = t - _libm_log(t) / t
+        z = 1.0 / t
+        t1 = np.empty_like(t)
+        far = t >= 8.0  # about y <= exp(-32)
+        near = ~far
+        zn = z[near]
+        t1[near] = zn * _polevl(zn, p1) / _polevl(zn, q1, True)
+        if far.any():
+            zf = z[far]
+            t1[far] = zf * _polevl(zf, p2) / _polevl(zf, q2, True)
+        d = t0 - t1
+        x[tail] = np.where(upper[tail], d, -d)
+    return x
 
 
 def hp_filter(series, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -594,26 +594,73 @@ class TestQqAndHp:
 
 
 class TestImportCost:
-    """``import cesnet.cli`` loads numpy and ``scipy.special`` only: the
-    slow ``scipy.stats`` is not used, and ``hp_filter`` loads
-    ``scipy.linalg`` when it first runs."""
+    """``import cesnet.cli`` loads numpy and no SciPy, and so do the
+    commands of the simulation path: ``qq_points`` runs montecarlo's own
+    port of ``ndtri``.  ``gbm`` and ``estimate --method iv`` load
+    ``scipy.special`` for their tail probabilities, and ``hp`` loads
+    ``scipy.linalg``, when they first run.  Each case runs ``main`` in a
+    fresh interpreter, as the test process has SciPy loaded already."""
 
     CODE = (
-        "import sys\n"
-        "import numpy as np\n"
+        "import json, sys\n"
         "import cesnet.cli\n"
-        "print(sorted({'scipy.stats', 'scipy.linalg'} & set(sys.modules)))\n"
-        "cesnet.montecarlo.hp_filter(np.arange(5.0), 1600.0)\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps(scipy_modules()))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cesnet.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(scipy_modules()))\n"
     )
 
-    def test_fresh_import_leaves_out_scipy_stats_and_linalg(self):
+    def scipy_modules(self, tmp_path, argvs):
+        """The scipy modules loaded after ``import cesnet.cli``, and after
+        ``main`` has then run each argv."""
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
-            [sys.executable, "-c", self.CODE], capture_output=True, text=True,
-            check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+            [sys.executable, "-c", self.CODE, json.dumps(argvs)], cwd=tmp_path,
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert done.stdout.splitlines() == ["[]", "True"]
+        lines = done.stdout.splitlines()
+        return json.loads(lines[0]), json.loads(lines[-1])
+
+    def test_simulation_commands_load_no_scipy(self, tmp_path):
+        io_path, el_path = write_economy(tmp_path)
+        economy = ["--economy", io_path, "--elasticities", el_path]
+        prefs = ["--prefs", write_prefs(tmp_path)]
+        sampling = ["--count", "40", "--outdir", "out"]
+        (tmp_path / "samples.csv").write_text("\n".join(map(str, range(10))) + "\n")
+        argvs = [
+            ["solve", *economy, "--shocks", write_shocks(tmp_path), "--outdir", "out"],
+            ["structure", *economy, "--outdir", "out"],
+            ["aggregate", *economy, *prefs, "--shocks", write_shocks(tmp_path)],
+            ["simulate", *economy, *prefs, *sampling],
+            ["qq", "--input", "samples.csv", "--outdir", "out"],
+            ["experiment", *economy, *prefs, *sampling],
+        ]
+        assert self.scipy_modules(tmp_path, argvs) == ([], [])
+        assert (tmp_path / "out" / "qq.csv").is_file()
+
+    def test_gbm_loads_scipy_special(self, tmp_path):
+        levels = np.exp(np.random.default_rng(4).normal(0.0, 0.1, 12).cumsum())
+        (tmp_path / "levels.csv").write_text(
+            "a\n" + "".join(f"{v!r}\n" for v in levels.tolist()))
+        before, after = self.scipy_modules(
+            tmp_path, [["gbm", "--input", "levels.csv", "--outdir", "out"]])
+        assert before == [] and "scipy.special" in after
+
+    def test_iv_estimate_loads_scipy_special(self, tmp_path):
+        panel = TestEstimate().write_panel(tmp_path)
+        before, after = self.scipy_modules(tmp_path, [[
+            "estimate", "--panel", panel, "--method", "iv", "--iv", "w",
+            "--out", "estimate.json"]])
+        assert before == [] and "scipy.special" in after
+
+    def test_hp_loads_scipy_linalg(self, tmp_path):
+        (tmp_path / "series.csv").write_text("1\n3\n2\n5\n4\n")
+        before, after = self.scipy_modules(
+            tmp_path, [["hp", "--input", "series.csv", "--outdir", "out"]])
+        assert before == [] and "scipy.linalg" in after
 
 
 class TestGbm:

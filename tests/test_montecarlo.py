@@ -1,3 +1,4 @@
+import math
 import threading
 import warnings
 
@@ -391,7 +392,8 @@ def assert_same_bits(got, expected):
 class TestScipyKernels:
     """The scipy.special ufuncs called in place of their scipy.stats
     wrappers give the same bits over the arguments each call site can
-    pass: plotting positions in (0, 1), statistics >= 0, dof >= 1."""
+    pass: plotting positions in (0, 1), statistics >= 0, dof >= 1.  The
+    program runs ndtri as montecarlo._ndtri, which TestNdtri holds to it."""
 
     SIZES = [3, 4, 5, 11, 12, 160, 5000]
     STATISTICS = np.concatenate([
@@ -420,6 +422,63 @@ class TestScipyKernels:
     def test_endogeneity_tail(self, dof):
         assert_same_bits(special.fdtrc(1, dof, self.STATISTICS),
                          stats.f.sf(self.STATISTICS, 1, dof))
+
+
+def _lower_tail(t_max):
+    """exp(-t) for t in [0.001, t_max]: log-uniform probabilities near 0."""
+    return st.floats(1e-3, t_max).map(lambda t: math.exp(-t))
+
+
+def _upper_tail(t_max):
+    """1 - exp(-t) for t in [0.001, t_max]: log-uniform probabilities near 1."""
+    return st.floats(1e-3, t_max).map(lambda t: -math.expm1(-t))
+
+
+def _neighbours(p):
+    return [np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)]
+
+
+class TestNdtri:
+    """montecarlo._ndtri, the numpy port of Cephes ndtri, equals
+    scipy.special.ndtri bit for bit on (0, 1).  Each example mixes the
+    branches in one array, as a plotting-position vector does.  The
+    explicit examples hold values where np.log, in place of the C library's
+    log that Cephes calls, moves the last bit."""
+
+    E2 = math.exp(-2.0)  # the central branch is e2 < p < 1 - e2
+    PROBABILITY = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        _lower_tail(700.0),
+        # 1 - p is a multiple of 2**-53, the least of which is exp(-36.7...).
+        _upper_tail(36.7),
+        # The tail's sqrt(-2 ln y) crosses 8 at y = exp(-32).
+        st.floats(31.99, 32.01).flatmap(
+            lambda t: st.sampled_from([math.exp(-t), -math.expm1(-t)])),
+        st.sampled_from(_neighbours(E2) + _neighbours(1.0 - E2)
+                        + _neighbours(math.exp(-32.0))
+                        + _neighbours(-math.expm1(-32.0))),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(PROBABILITY, min_size=1, max_size=40))
+    @example(_neighbours(E2) + _neighbours(1.0 - E2))
+    @example([0.08836463283573237, 0.009522358188614688, 0.9125382815310998,
+              0.9982825473662674])
+    def test_equals_scipy(self, probabilities):
+        p = np.array(probabilities)
+        assert_same_bits(montecarlo._ndtri(p), special.ndtri(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 20000), st.booleans())
+    @example(160, False)
+    @example(239, False)
+    @example(116, True)
+    @example(5000, True)
+    def test_plotting_positions(self, n, blom):
+        # qq_points' (k - 0.5) / N, or shapiro_wilk's Blom positions.
+        k = np.arange(1, n + 1)
+        p = (k - 0.375) / (n + 0.25) if blom else (k - 0.5) / n
+        assert_same_bits(montecarlo._ndtri(p), special.ndtri(p))
 
 
 class TestSpotChecks:
