@@ -211,16 +211,6 @@ def _cost_kernel(economy: Economy, width: int):
     return costs, u + int(mixed)
 
 
-def cost_map(economy: Economy, pi, z, pi0: float = 1.0) -> np.ndarray:
-    """One sweep of the equilibrium recursion: ``c(pi; pi0) / z``.
-
-    The map is monotone and strictly concave in pi, which is what makes the
-    recursion a contraction.
-    """
-    z = check_shock(z, economy.n)
-    return unit_costs(economy, pi, pi0) / z
-
-
 def solve_fixed_point(
     economy: Economy, z, *, tol: float = 1e-10, max_iter: int = 10000,
 ) -> EquilibriumResult:

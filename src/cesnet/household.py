@@ -113,8 +113,7 @@ def price_index(pi, prefs: HouseholdPrefs) -> float:
 def nominal_income(z, prefs: HouseholdPrefs) -> float:
     """Conservative nominal income ``W = Pi(1/z)``, at a previous real GDP
     of one."""
-    z = check_shock(z, prefs.n)
-    return float(np.exp(log_price_index(1.0 / z, prefs)))
+    return price_index(1.0 / check_shock(z, prefs.n), prefs)
 
 
 def real_gdp_growth(
@@ -152,14 +151,16 @@ def real_gdp_growth_batch(
     Returns ``(ln_h, status)``: the growth of each row and its solver status
     (see ``equilibrium``); ``ln_h`` is 0 where a row did not converge.  Row k
     equals ``real_gdp_growth(economy, prefs, Z[k], method, ...)`` bit for bit.
-    The shock matrix is validated before any solve: a bad row raises what
-    ``check_shock`` raises for the first such row.  A converged row with a
-    price or 1/z at 0 or inf, or whose ln H is not finite (a price or price
-    index beyond the float range), raises NonPositivePrice naming the first
-    such row's shock.
+    Before any solve, preferences of another length raise InvalidPreferences,
+    and the first bad shock row what ``check_shock`` raises.  A converged row
+    with a price or 1/z at 0 or inf, or whose ln H is not finite (a price or
+    price index beyond the float range), raises NonPositivePrice naming the
+    first such row's shock.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if prefs.n != economy.n:
+        raise InvalidPreferences(f"{prefs.n} expenditure shares for {economy.n} sectors")
     Z = check_shock_matrix(Z, economy.n)
     if method == COBB_DOUGLAS:
         log_pi = solve_cobb_douglas_batch(economy, Z)
@@ -170,6 +171,8 @@ def real_gdp_growth_batch(
             pi, status = result.pi, result.status
         else:
             pi, status = solve_uniform_ces_batch(economy, Z, 1.0)
+        # exp(log(p)) below is not p for about 0.1% of lognormal prices,
+        # and the golden digests pin that round trip: keep it.
         log_pi = np.log(pi[status == CONVERGED])
     ok = status == CONVERGED
     ln_h = np.zeros(len(Z))

@@ -93,9 +93,8 @@ def shock_sample(n: int, config: ShockConfig, index: int) -> np.ndarray:
 
 
 def sample_shocks(n: int, config: ShockConfig) -> Iterator[np.ndarray]:
-    """Yield the deterministic stream of ``config.count`` shock vectors."""
-    for k in range(config.count):
-        yield shock_sample(n, config, k)
+    """Yield the deterministic shock stream: the rows of ``shock_matrix``."""
+    yield from shock_matrix(n, config)
 
 
 def _pcg64_states(seed: int, count: int) -> list[tuple[int, int]]:
@@ -314,15 +313,6 @@ def qq_points(samples) -> np.ndarray:
     return np.column_stack([theoretical, standardized])
 
 
-def _polevl(x, coefs, monic=False):
-    """Cephes ``polevl``: Horner's rule from ``coefs[0]``; ``monic`` is
-    Cephes ``p1evl``, whose leading coefficient 1 is implied."""
-    acc = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _libm_log(a) -> np.ndarray:
     """ln of each value by the C library's ``log``, which Cephes calls."""
     return np.array(list(map(math.log, a.tolist())))
@@ -335,16 +325,17 @@ def _ndtri(p) -> np.ndarray:
 
     This is a numpy port of Cephes ``ndtri``, which SciPy runs: the same
     coefficients, branches and order of operations, each of them correctly
-    rounded in numpy as in C.  The two tail logarithms are ``_libm_log``:
-    numpy's SIMD ``np.log`` differs from the C library's in the last bit
-    for some arguments.  Each branch runs on
-    its own values only, and the far tail (p or 1 - p below about 1e-14)
-    only when some value needs it.
+    rounded in numpy as in C.  Cephes ``polevl`` is ``np.polyval`` and
+    ``p1evl`` is ``np.polyval`` with a leading 1.0.  The two tail logarithms
+    are ``_libm_log``: numpy's SIMD ``np.log`` differs from the C library's
+    in the last bit for some arguments.  Each branch runs on its own values
+    only, and the far tail (p or 1 - p below about 1e-14) only when some
+    value needs it.
     """
     p0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
           -5.66762857469070293439E1, 1.39312609387279679503E1,
           -1.23916583867381258016E0)
-    q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+    q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
           8.63602421390890590575E1, -2.25462687854119370527E2,
           2.00260212380060660359E2, -8.20372256168333339912E1,
           1.59056225126211695515E1, -1.18331621121330003142E0)
@@ -353,7 +344,7 @@ def _ndtri(p) -> np.ndarray:
           1.46849561928858024014E1, 2.18663306850790267539E0,
           -1.40256079171354495875E-1, -3.50424626827848203418E-2,
           -8.57456785154685413611E-4)
-    q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+    q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
           4.13172038254672030440E1, 1.50425385692907503408E1,
           2.50464946208309415979E0, -1.42182922854787788574E-1,
           -3.80806407691578277194E-2, -9.33259480895457427372E-4)
@@ -362,7 +353,7 @@ def _ndtri(p) -> np.ndarray:
           2.01485389549179081538E-1, 1.23716634817820021358E-2,
           3.01581553508235416007E-4, 2.65806974686737550832E-6,
           6.23974539184983293730E-9)
-    q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+    q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
           1.37702099489081330271E0, 2.16236993594496635890E-1,
           1.34204006088543189037E-2, 3.28014464682127739104E-4,
           2.89247864745380683936E-6, 6.79019408009981274425E-9)
@@ -374,7 +365,7 @@ def _ndtri(p) -> np.ndarray:
     central = y > e2
     yc = y[central] - 0.5
     y2 = yc * yc
-    x[central] = (yc + yc * (y2 * _polevl(y2, p0) / _polevl(y2, q0, True))
+    x[central] = (yc + yc * (y2 * np.polyval(p0, y2) / np.polyval(q0, y2))
                   ) * 2.50662827463100050242E0
     tail = ~central
     if tail.any():
@@ -386,10 +377,10 @@ def _ndtri(p) -> np.ndarray:
         far = t >= 8.0  # about y <= exp(-32)
         near = ~far
         zn = z[near]
-        t1[near] = zn * _polevl(zn, p1) / _polevl(zn, q1, True)
+        t1[near] = zn * np.polyval(p1, zn) / np.polyval(q1, zn)
         if far.any():
             zf = z[far]
-            t1[far] = zf * _polevl(zf, p2) / _polevl(zf, q2, True)
+            t1[far] = zf * np.polyval(p2, zf) / np.polyval(q2, zf)
         d = t0 - t1
         x[tail] = np.where(upper[tail], d, -d)
     return x

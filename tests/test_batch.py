@@ -26,7 +26,6 @@ from cesnet.equilibrium import (
     NO_POSITIVE_SOLUTION,
     OVERFLOW_GUARD,
     SINGULAR,
-    cost_map,
     solve_cobb_douglas,
     solve_cobb_douglas_batch,
     solve_fixed_point,
@@ -426,15 +425,12 @@ def test_solve_axis_orders_equal_the_old_kernel(e):
 
 @pytest.mark.parametrize("e", axis_order_economies())
 def test_one_vector_costs_equal_the_per_column_formula(e):
-    # unit_costs and cost_map call the kernel on one column, at any
-    # numeraire.
+    # unit_costs calls the kernel on one column, at any numeraire.
     rng = np.random.default_rng(e.n)
     for pi0 in (1.0, 0.7, 3.0):
         pi = np.exp(0.5 * rng.standard_normal(e.n))
-        z = np.exp(0.5 * rng.standard_normal(e.n))
         want = per_column_costs(e, np.concatenate(([pi0], pi))[:, None])[:, 0]
         np.testing.assert_array_equal(bits(unit_costs(e, pi, pi0)), bits(want))
-        np.testing.assert_array_equal(bits(cost_map(e, pi, z, pi0)), bits(want / z))
 
 
 @pytest.mark.parametrize("round_sweeps", [1, 3, equilibrium.MAX_ROUND_SWEEPS])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cesnet.economy import Economy
 from cesnet.equilibrium import (
-    cost_map,
     solve_cobb_douglas,
     solve_fixed_point,
     solve_fixed_point_batch,
@@ -111,7 +110,7 @@ class TestFixedPoint:
         bound = np.sqrt(tol) * (1 + 2 * np.sqrt(tol))
         for k in np.flatnonzero(batch.status == "converged"):
             pi = batch.pi[k]
-            relative = np.abs(cost_map(e, pi, Z[k]) - pi) / pi
+            relative = np.abs(unit_costs(e, pi) / Z[k] - pi) / pi
             assert relative.max() <= bound
             assert pi.min() >= np.finfo(float).tiny
 
@@ -213,7 +212,7 @@ class TestProperties:
         z = np.exp(0.1 * rng.standard_normal(4))
         lo = rng.uniform(0.5, 1.0, 4)
         hi = lo + rng.uniform(0.0, 1.0, 4)
-        assert np.all(cost_map(econ4, lo, z) <= cost_map(econ4, hi, z))
+        assert np.all(unit_costs(econ4, lo) / z <= unit_costs(econ4, hi) / z)
 
     def test_benchmark_uniqueness_from_random_starts(self, econ4):
         # The cost map is a contraction: iterated from any positive start it
@@ -222,7 +221,7 @@ class TestProperties:
         for _ in range(100):
             pi = rng.uniform(0.1, 10.0, 4)
             for _ in range(1000):
-                new = cost_map(econ4, pi, np.ones(4))
+                new = unit_costs(econ4, pi)
                 if np.max(np.abs(new - pi)) <= 1e-12:
                     break
                 pi = new

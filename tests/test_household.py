@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cesnet import household
 from cesnet.economy import Economy
 from cesnet.equilibrium import (
     DIVERGED,
@@ -25,7 +26,7 @@ from cesnet.household import (
     real_gdp_growth,
     real_gdp_growth_batch,
 )
-from cesnet.montecarlo import distribution_from_shocks
+from cesnet.montecarlo import ShockConfig, distribution_from_shocks, simulate_distribution
 
 from conftest import random_economy, random_shares
 
@@ -117,6 +118,26 @@ class TestNominalIncome:
 
 
 class TestRealGdpGrowth:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_prefs_of_another_length_raise_before_any_solve(self, method, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved with preferences of another length")
+
+        for name in ("solve_fixed_point_batch", "solve_uniform_ces_batch",
+                     "solve_cobb_douglas_batch"):
+            monkeypatch.setattr(household, name, solve)
+        e = random_economy(1, 4)
+        prefs = HouseholdPrefs(mu=random_shares(1, 3))
+        calls = (
+            lambda: real_gdp_growth(e, prefs, np.ones(4), method),
+            lambda: real_gdp_growth_batch(e, prefs, np.ones((2, 4)), method),
+            lambda: simulate_distribution(e, prefs, ShockConfig(count=5), method),
+        )
+        for call in calls:
+            with pytest.raises(InvalidPreferences,
+                               match="^3 expenditure shares for 4 sectors$"):
+                call()
+
     def test_zero_growth_without_intermediates(self):
         e = Economy(
             labels=("a", "b"),

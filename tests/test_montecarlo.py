@@ -127,6 +127,15 @@ class TestShockStream:
                                match=f"draw {first_bad} of seed 13 "):
                 shock_matrix(4, cfg)
 
+    def test_stream_refuses_an_overflowing_draw_at_its_first_row(self):
+        # The stream is shock_matrix's rows: draw 0 of this seed is
+        # [inf, 0.], which no row of the stream may hold.
+        cfg = ShockConfig(count=3, sigma=1e6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveValue, match="draw 0 of seed 0 "):
+                next(sample_shocks(2, cfg))
+
 
 class TestSimulateDistribution:
     @pytest.mark.usefixtures("force_pool")
