@@ -177,8 +177,9 @@ def load_economy(io_table_path, elasticities_path) -> Economy:
 def save_economy(economy: Economy, io_table_path, elasticities_path) -> None:
     """Write the IO table and elasticities CSVs consumed by load_economy.
 
-    Values are written with shortest round-trip formatting, so a save/load
-    cycle reproduces the coefficient arrays bit for bit.
+    Values are written with shortest round-trip formatting.  A save/load
+    cycle gives back, bit for bit, A and a0 divided by their column sums and
+    gamma as 1 - (1 - gamma), which are the originals only where exact.
     """
     labels = economy.labels
     write_csv(io_table_path, ["sector", *labels], [PRIMARY_ROW_LABEL, *labels],

@@ -237,17 +237,17 @@ def solve_fixed_point_batch(
     """Iterate the price recursion for every row of a (K, n) shock matrix.
 
     All active rows are swept together; a row retires at the first sweep at
-    which it converges or diverges, keeping that iterate, iteration count and
-    residual.  Sweeps run in rounds between two such checks (see
-    ROUND_FLOATS), so that a long tail of a few slow rows costs little more
-    than their sweeps.  A round's iterates are stored sector-major, (m + 1,
-    n + 1, rows), as are the shocks, so that the step and the retirement test
-    reduce along axis 1 with one vector operation across all rows, not one
-    short reduction per row.  The cost kernel sweeps each iterate in place
-    and writes its costs over the shocks into the next, and as every row
-    starts at the benchmark, the first sweep's costs are one column's.
-    Row k of the result equals ``solve_fixed_point(economy, Z[k], ...)`` bit
-    for bit.
+    which it converges or diverges, or at sweep ``max_iter``, keeping that
+    iterate, iteration count and residual (inf for a diverged row).  Sweeps
+    run in rounds between two such checks (see ROUND_FLOATS), so that a long
+    tail of a few slow rows costs little more than their sweeps.  A round's
+    iterates are stored sector-major, (m + 1, n + 1, rows), as are the
+    shocks, so that the step and the retirement test reduce along axis 1
+    with one vector operation across all rows, not one short reduction per
+    row.  The cost kernel sweeps each iterate in place and writes its costs
+    over the shocks into the next, and as every row starts at the benchmark,
+    the first sweep's costs are one column's.  Row k of the result equals
+    ``solve_fixed_point(economy, Z[k], ...)`` bit for bit.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -261,13 +261,12 @@ def solve_fixed_point_batch(
     paug = np.ones((n + 1, K))
     benchmark = np.ones((n + 1, 1))
     pi = np.empty((K, n))
-    iterations = np.full(K, max_iter)
+    iterations = np.empty(K, int)
     residual = np.empty(K)
-    outcome = np.full(K, 2)  # index into (CONVERGED, DIVERGED, MAX_ITERATIONS)
+    outcome = np.empty(K, int)  # index into (CONVERGED, DIVERGED, MAX_ITERATIONS)
     rows = np.arange(K)
-    res = np.full(K, np.inf)
     it = 0
-    while rows.size and it < max_iter:
+    while rows.size:
         m = ROUND_FLOATS // (rows.size * (n + 1) * (u + n))
         m = max(1, min(m, MAX_ROUND_SWEEPS, max_iter - it))
         seq = np.empty((m + 1, n + 1, rows.size))
@@ -283,29 +282,29 @@ def solve_fixed_point_batch(
             # The numeraire adds zeros to the steps, so each is the
             # max-norm change of the row's prices.
             step = np.max(np.abs(seq[1:] - seq[:-1]), axis=1)
-        paug, res = seq[m], step[-1]
+        paug = seq[m]
         it += m
         new = seq[1:, 1:]
         low = new.min(axis=1)
         # A subnormal price has lost its relative precision: c(pi)/z can
         # round back to it, a step of exactly 0.
         diverged = ~((low >= tiny) & (new.max(axis=1) <= OVERFLOW_GUARD))
-        done = diverged | ((step <= tol) & (step <= rel_tol * low))
+        converged = (step <= tol) & (step <= rel_tol * low)
+        done = diverged | converged
+        # A row still live at max_iter retires at its last sweep.
+        done[-1] |= it == max_iter
         hit = done.any(axis=0)
         if not hit.any():
             continue
         # The first sweep of the round at which each such row is done.
         at, r = done.argmax(axis=0)[hit], np.flatnonzero(hit)
-        finished = rows[r]
+        finished, div = rows[r], diverged[at, r]
         pi[finished] = new[at, :, r]
         iterations[finished] = it - m + at + 1
-        residual[finished] = step[at, r]
-        outcome[finished] = diverged[at, r]
+        residual[finished] = np.where(div, np.inf, step[at, r])
+        outcome[finished] = np.where(div, 1, np.where(converged[at, r], 0, 2))
         keep = ~hit
-        rows, Z, paug, res = rows[keep], Z[:, keep], paug[:, keep], res[keep]
-    pi[rows] = paug[1:].T
-    residual[rows] = res
-    residual[outcome == 1] = np.inf
+        rows, Z, paug = rows[keep], Z[:, keep], paug[:, keep]
     status = np.array([CONVERGED, DIVERGED, MAX_ITERATIONS], dtype=object)[outcome]
     return EquilibriumBatch(pi, iterations, residual, status)
 

@@ -85,13 +85,17 @@ class Unviable(CesnetError):
 
 
 def log_price_index(pi, prefs: HouseholdPrefs) -> float:
-    """ln Pi(pi) for the household's CES price index."""
+    """ln Pi(pi) of the CES price index; NonPositivePrice if it leaves the float range."""
     pi, _ = check_prices(pi, prefs.n)
-    return float(_log_price_index_rows(pi[None, :], prefs)[0])
+    ln = _log_price_index_rows(pi[None, :], prefs)[0]
+    if np.isnan(ln):
+        raise NonPositivePrice(f"a price index left the float range at prices {pi}")
+    return float(ln)
 
 
 def _log_price_index_rows(P, prefs: HouseholdPrefs) -> np.ndarray:
-    """ln Pi of each row of a positive (K, n) price matrix.
+    """ln Pi of each row of a (K, n) price matrix, NaN where a price is 0 or
+    inf (0**kappa = 0 would give a finite, wrong value) or ln Pi is not finite.
 
     Row-wise dot products through ``matmul`` on (1, n) @ (n, 1) blocks: a
     row's value is then the same for any K, which ``P @ mu`` does not
@@ -99,9 +103,13 @@ def _log_price_index_rows(P, prefs: HouseholdPrefs) -> np.ndarray:
     """
     k = prefs.kappa
     mu = prefs.mu[:, None]
-    if abs(k) < KAPPA_SWITCH:
-        return np.matmul(np.log(P)[:, None, :], mu)[:, 0, 0]
-    return np.log(np.matmul((P**k)[:, None, :], mu)[:, 0, 0]) / k
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if abs(k) < KAPPA_SWITCH:
+            ln = np.matmul(np.log(P)[:, None, :], mu)[:, 0, 0]
+        else:
+            ln = np.log(np.matmul((P**k)[:, None, :], mu)[:, 0, 0]) / k
+    ln[~(np.isfinite(ln) & np.all((P > 0) & (P < np.inf), axis=1))] = np.nan
+    return ln
 
 
 def price_index(pi, prefs: HouseholdPrefs) -> float:
@@ -113,7 +121,9 @@ def price_index(pi, prefs: HouseholdPrefs) -> float:
 def nominal_income(z, prefs: HouseholdPrefs) -> float:
     """Conservative nominal income ``W = Pi(1/z)``, at a previous real GDP
     of one."""
-    return price_index(1.0 / check_shock(z, prefs.n), prefs)
+    with np.errstate(over="ignore"):  # check_prices refuses 1/z at inf
+        inv_z = 1.0 / check_shock(z, prefs.n)
+    return price_index(inv_z, prefs)
 
 
 def real_gdp_growth(
@@ -159,8 +169,7 @@ def real_gdp_growth_batch(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if prefs.n != economy.n:
-        raise InvalidPreferences(f"{prefs.n} expenditure shares for {economy.n} sectors")
+    _check_share_count(economy, prefs)
     Z = check_shock_matrix(Z, economy.n)
     if method == COBB_DOUGLAS:
         log_pi = solve_cobb_douglas_batch(economy, Z)
@@ -176,13 +185,10 @@ def real_gdp_growth_batch(
         log_pi = np.log(pi[status == CONVERGED])
     ok = status == CONVERGED
     ln_h = np.zeros(len(Z))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         pi, inv_z = np.exp(log_pi), 1.0 / Z[ok]
-        ln_h[ok] = (_log_price_index_rows(inv_z, prefs)
-                    - _log_price_index_rows(pi, prefs))
-    # A price at 0 or inf can still give a finite, wrong ln H (0**kappa = 0).
+    ln_h[ok] = _log_price_index_rows(inv_z, prefs) - _log_price_index_rows(pi, prefs)
     bad = ~np.isfinite(ln_h)
-    bad[ok] |= ~np.all((pi > 0) & (pi < np.inf) & (inv_z < np.inf), axis=1)
     if bad.any():
         raise NonPositivePrice(
             "a price or price index left the float range under shock "
@@ -199,18 +205,19 @@ def domar_weights(economy: Economy, m) -> np.ndarray:
     intermediate inputs: the conservative income rule exactly offsets the
     direct productivity gain, leaving only network amplification.
     """
-    m = np.asarray(m, dtype=float)
-    return _leontief_demand(economy, m) - m
+    m, Lm = _leontief_demand(economy, m)
+    return Lm - m
 
 
-def _leontief_demand(economy: Economy, m) -> np.ndarray:
-    """``L m``, with L the Leontief inverse, for final-demand shares m: one
-    finite entry per sector, summing to 1, or ValueError."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (economy.n,):
-        raise ValueError(f"m has shape {m.shape}, expected ({economy.n},)")
-    if not np.isfinite(m).all():
-        raise ValueError("final-demand shares m must be finite")
-    if not abs(m.sum() - 1.0) <= 1e-9:
-        raise ValueError("final-demand shares m must sum to 1")
-    return _solve(np.eye(economy.n) - economy.A, m)
+def _leontief_demand(economy: Economy, m) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, L m)``, with L the Leontief inverse, for final-demand shares m
+    that ``HouseholdPrefs`` accepts, one per sector, or InvalidPreferences."""
+    m = _check_share_count(economy, HouseholdPrefs(m))
+    return m, _solve(np.eye(economy.n) - economy.A, m)
+
+
+def _check_share_count(economy: Economy, prefs: HouseholdPrefs) -> np.ndarray:
+    """``prefs.mu``, or InvalidPreferences unless it has one share per sector."""
+    if prefs.n != economy.n:
+        raise InvalidPreferences(f"{prefs.n} expenditure shares for {economy.n} sectors")
+    return prefs.mu

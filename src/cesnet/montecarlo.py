@@ -285,8 +285,7 @@ def price_index_dispersion(economy: Economy, m, shocks) -> tuple[np.ndarray, np.
     shock rows, an iterable of length-n vectors, as ``check_shock_matrix``
     checks them.
     """
-    m = np.asarray(m, dtype=float)
-    Lm = _leontief_demand(economy, m)
+    m, Lm = _leontief_demand(economy, m)
     logz = np.log(check_shock_matrix(list(shocks), economy.n))
     return -logz @ Lm, -logz @ m
 

@@ -31,20 +31,6 @@ class EquilibriumStructure:
     viable: bool
 
 
-def _require_equilibrium(economy, pi, pi0, z):
-    """The validated ``(pi, pi0, z)`` and the unit costs at (pi0, pi)."""
-    pi, pi0 = check_prices(pi, economy.n, pi0)
-    z = check_shock(z, economy.n)
-    c = unit_costs(economy, pi, pi0)
-    residual = float(np.max(np.abs(c / z - pi) / pi))
-    if residual > EQUILIBRIUM_TOLERANCE:
-        raise NotAnEquilibrium(
-            f"relative equilibrium residual {residual:.3g} exceeds "
-            f"{EQUILIBRIUM_TOLERANCE:g}"
-        )
-    return pi, pi0, z, c
-
-
 def gradient_cost(economy: Economy, pi, pi0, z):
     """Gradient of the unit cost aggregator at an equilibrium.
 
@@ -52,8 +38,15 @@ def gradient_cost(economy: Economy, pi, pi0, z):
     n intermediate inputs and ``grad0[j]`` is the primary-factor partial.
     Uses the CES derivative ``a_ij pi_i^{gamma_j - 1} c_j^{1 - gamma_j}``,
     which is exact for every gamma including the Cobb-Douglas limit.
+    Raises NotAnEquilibrium beyond the relative EQUILIBRIUM_TOLERANCE.
     """
-    pi, pi0, _, c = _require_equilibrium(economy, pi, pi0, z)
+    pi, pi0 = check_prices(pi, economy.n, pi0)
+    z = check_shock(z, economy.n)
+    c = unit_costs(economy, pi, pi0)
+    residual = float(np.max(np.abs(c / z - pi) / pi))
+    if residual > EQUILIBRIUM_TOLERANCE:
+        raise NotAnEquilibrium(f"relative equilibrium residual {residual:.3g} "
+                               f"exceeds {EQUILIBRIUM_TOLERANCE:g}")
     g = economy.gamma
     paug = np.concatenate(([pi0], pi))
     # The two powers overflow and underflow apart at extreme price levels.

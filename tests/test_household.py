@@ -26,7 +26,12 @@ from cesnet.household import (
     real_gdp_growth,
     real_gdp_growth_batch,
 )
-from cesnet.montecarlo import ShockConfig, distribution_from_shocks, simulate_distribution
+from cesnet.montecarlo import (
+    ShockConfig,
+    distribution_from_shocks,
+    price_index_dispersion,
+    simulate_distribution,
+)
 
 from conftest import random_economy, random_shares
 
@@ -103,6 +108,16 @@ class TestPriceIndex:
         with pytest.raises(ValueError, match="finite"):
             HouseholdPrefs(mu=[1.0, bad])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pi", [[1e200, 1.0], [1e-200, 1e-200]])
+    def test_index_beyond_the_float_range_raises(self, pi):
+        # At kappa 2, 1e200**2 overflows and 1e-200**2 underflows to 0, whose
+        # log is -inf: ln Pi is not finite, and no warning is emitted.
+        prefs = HouseholdPrefs(mu=[0.5, 0.5], kappa=2.0)
+        for index in (log_price_index, price_index):
+            with pytest.raises(NonPositivePrice, match="left the float range"):
+                index(np.array(pi), prefs)
+
 
 class TestNominalIncome:
     def test_unit_shock_gives_h_prev(self):
@@ -115,6 +130,13 @@ class TestNominalIncome:
         prefs = HouseholdPrefs(mu=[0.25, 0.75], kappa=1.0)
         z = np.array([2.0, 0.5])
         assert nominal_income(z, prefs) == pytest.approx(0.25 / 2.0 + 0.75 / 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_shock_is_refused_without_a_warning(self):
+        # 1/1e-310 overflows to inf, a price that check_prices refuses.
+        prefs = HouseholdPrefs(mu=[0.5, 0.5])
+        with pytest.raises(NonPositivePrice, match="strictly positive"):
+            nominal_income(np.array([1e-310, 1.0]), prefs)
 
 
 class TestRealGdpGrowth:
@@ -299,6 +321,15 @@ class TestDomarWeights:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 domar_weights(econ4, np.array([bad, 0.5, 0.25, 0.25]))
+
+    def test_negative_share_is_refused(self, econ4):
+        # Final-demand shares follow HouseholdPrefs' rule, which refuses a
+        # negative share even when the shares sum to 1.
+        m = np.array([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvalidPreferences, match="nonnegative"):
+            domar_weights(econ4, m)
+        with pytest.raises(InvalidPreferences, match="nonnegative"):
+            price_index_dispersion(econ4, m, np.ones((3, 4)))
 
 
 class TestSpotChecks:

@@ -14,6 +14,7 @@ from cesnet import montecarlo
 from cesnet.economy import check_shock
 from cesnet.errors import (
     DegenerateSample,
+    InvalidPreferences,
     MalformedTable,
     NonPositiveValue,
     SeriesTooShort,
@@ -293,7 +294,7 @@ class TestTailAsymmetry:
     ])
     def test_dispersion_rejects_bad_demand_shares(self, econ4, m):
         shocks = np.ones((3, 4))
-        with pytest.raises(ValueError, match="m "):
+        with pytest.raises(InvalidPreferences, match="expenditure shares"):
             price_index_dispersion(econ4, np.array(m), shocks)
 
     @pytest.mark.parametrize("row, error", [
